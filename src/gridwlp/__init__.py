@@ -22,7 +22,6 @@ from .ideals import (
     HilbertTable,
     PerpSpec,
     PowersIdealSpec,
-    bigraded_fat_points_piece,
     ci_power_dim_formula,
     ci_power_piece,
     fat_points_dim,

@@ -17,6 +17,7 @@ import numpy as np
 from .geometry import GridConfig
 from .linalg import (
     SubspaceBasis,
+    _check_cap,
     _matmul_modp,
     kernel_basis,
     rank,
@@ -90,15 +91,21 @@ def grid_bigraded_spec(grid: GridConfig, m: int) -> FatPointsSpec:
 # spans of shifted products
 
 
+def _shift_degree(grading, src_deg, t):
+    """Degree of the shift monomials taking degree src_deg to t; None when
+    that degree is negative."""
+    if grading.kind == "total":
+        shift_deg = t - src_deg
+        return shift_deg if shift_deg >= 0 else None
+    shift_deg = (t[0] - src_deg[0], t[1] - src_deg[1])
+    return shift_deg if min(shift_deg) >= 0 else None
+
+
 @lru_cache(maxsize=256)
 def _shift_column_map(grading, src_deg, t) -> np.ndarray:
     """Column indices of monomial * basis(src_deg) inside basis(t), one row
     per shift monomial of degree t - src_deg."""
-    if grading.kind == "total":
-        shift_deg = t - src_deg
-    else:
-        shift_deg = (t[0] - src_deg[0], t[1] - src_deg[1])
-    shifts = graded_basis(grading, shift_deg)
+    shifts = graded_basis(grading, _shift_degree(grading, src_deg, t))
     src_basis = graded_basis(grading, src_deg)
     idx_t = basis_index(grading, t)
     out = np.empty((len(shifts), len(src_basis)), dtype=np.int64)
@@ -107,27 +114,43 @@ def _shift_column_map(grading, src_deg, t) -> np.ndarray:
     return out
 
 
-def shifted_products_matrix(polys, t, field) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _below_mask(grading, degree, e: int) -> np.ndarray:
+    """Which monomials of one graded piece have every exponent < e: the
+    monomial basis of that piece of R/(x_1^e, ..., x_n^e)."""
+    return np.asarray(graded_basis(grading, degree)).max(axis=1) < e
+
+
+def shifted_products_matrix(polys, t, field, below=None) -> np.ndarray:
     """Rows spanning { m * f : f in polys, m a monomial of degree t - deg f }
-    inside the degree-t piece. Row order: poly-major, then shift monomial."""
+    inside the degree-t piece. Row order: poly-major, then shift monomial.
+
+    With below=e the span is taken in the quotient by (x_1^e, ..., x_n^e):
+    only shifts and columns whose exponents are all < e are kept, since every
+    other product lies in that monomial ideal.
+    """
     if not polys:
         raise ValueError("no polynomials given")
     grading = polys[0].grading
-    n_t = basis_size(grading, t)
+    if below is None:
+        n_t = basis_size(grading, t)
+    else:
+        keep = _below_mask(grading, t, below)
+        n_t = int(keep.sum())
+        new_col = np.where(keep, np.cumsum(keep) - 1, -1)
     blocks = []
     for f in polys:
         if f.grading != grading:
             raise ValueError("mixed gradings")
-        if grading.kind == "total":
-            negative = t - f.degree < 0
-        else:
-            negative = t[0] < f.degree[0] or t[1] < f.degree[1]
-        if negative:
+        shift_deg = _shift_degree(grading, f.degree, t)
+        if shift_deg is None:
             continue
         colmap = _shift_column_map(grading, f.degree, t)
+        if below is not None:
+            colmap = new_col[colmap[_below_mask(grading, shift_deg, below)]]
+        rows, cols = np.nonzero(colmap >= 0)
         block = field.zeros((colmap.shape[0], n_t))
-        rows = np.arange(colmap.shape[0])[:, None]
-        block[rows, colmap] = np.asarray(f.coeffs)[None, :]
+        block[rows, colmap[rows, cols]] = np.asarray(f.coeffs)[cols]
         blocks.append(block)
     if not blocks:
         return field.zeros((0, n_t))
@@ -144,13 +167,48 @@ def power_generators(grid: GridConfig, d: int) -> list:
     ]
 
 
+@lru_cache(maxsize=128)
+def _normalised_generators(grid_key, d: int) -> list:
+    """The generators other than the four corner ones, after the coordinate
+    change A (x) B with A, B the Mobius maps (1, x) -> (x - x_2, x - x_1) on
+    the u and v parameters.
+
+    The change sends u_1, v_1 to 0 and u_2, v_2 to infinity, so the grid point
+    kron((1, u), (1, v)) of the corners (i, j < 2) becomes a multiple of a
+    coordinate point and their powers generate (x_1^d, ..., x_4^d). The
+    substitution is linear and invertible, so dim[I]_t does not change.
+    """
+    grid = _GRIDS[grid_key]
+    f = grid.field
+
+    def mobius(params):
+        return [(f.sub(x, params[1]), f.sub(x, params[0])) for x in params]
+
+    return [
+        linear_power((f.mul(a0, b0), f.mul(a0, b1), f.mul(a1, b0), f.mul(a1, b1)), d, f)
+        for i, (a0, a1) in enumerate(mobius(grid.u))
+        for j, (b0, b1) in enumerate(mobius(grid.v))
+        if i >= 2 or j >= 2
+    ]
+
+
 @lru_cache(maxsize=None)
 def _powers_dim_cached(grid_key, d: int, t: int) -> int:
+    """dim[(x_1^d, ..., x_4^d)]_t plus the rank of the other normalised
+    generators in B_t, where B = R/(x_1^d, ..., x_4^d)."""
     grid = _GRIDS[grid_key]
     if t < d:
         return 0
-    mat = shifted_products_matrix(power_generators(grid, d), t, grid.field)
-    return rank(mat, grid.field)
+    n_t = dim_total(4, t)
+    _check_cap(n_t)
+    field = grid.field
+    others = _normalised_generators(grid_key, d)
+    n_quot = int(_below_mask(TOTAL4, t, d).sum())
+    if others:
+        mat = shifted_products_matrix(others, t, field, below=d)
+    else:
+        mat = field.zeros((0, n_quot))
+    return n_t - n_quot + rank(mat, field)
 
 
 # frozen GridConfig instances are registered here so the dim cache can key on
@@ -205,12 +263,6 @@ def fat_points_dim(spec: FatPointsSpec, degree, field) -> int:
 def fat_points_hf(spec: FatPointsSpec, degree, field) -> int:
     """Hilbert function of the fat-point scheme: conditions actually imposed."""
     return rank(fat_points_matrix(spec, degree, field), field)
-
-
-def bigraded_fat_points_piece(spec: FatPointsSpec, bidegree, field) -> SubspaceBasis:
-    if not spec.bigraded:
-        raise ValueError("spec is not bigraded")
-    return fat_points_piece(spec, bidegree, field)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +489,7 @@ def socle_dims(spec: PowersIdealSpec, t_range) -> dict:
             out[t] = dim_total(4, t) - lam_t
             continue
         stacked = []
-        red, piv = basis_t1.rref, _pivots_of_rref(basis_t1.rref, field)
+        red, piv = basis_t1.rref, _pivots_of_rref(basis_t1.rref)
         for var in range(4):
             shift = _shift_matrix(TOTAL4, t, var, field)
             stacked.append(_reduce_columns_against(shift, red, piv, field))
@@ -447,19 +499,16 @@ def socle_dims(spec: PowersIdealSpec, t_range) -> dict:
     return out
 
 
-def _pivots_of_rref(r: np.ndarray, field) -> list:
-    piv = []
-    for i in range(r.shape[0]):
-        nz = [j for j in range(r.shape[1]) if r[i, j] != 0]
-        piv.append(nz[0])
-    return piv
+def _pivots_of_rref(r: np.ndarray) -> list:
+    # first nonzero column of each row; `!= 0` is boolean on object arrays too
+    return np.argmax(r != 0, axis=1).tolist()
 
 
 def _reduce_columns_against(mat: np.ndarray, rref_rows: np.ndarray, piv: list, field) -> np.ndarray:
     """Reduce every column of mat modulo the row space of rref_rows."""
     if rref_rows.shape[0] == 0:
         return mat
-    sel = mat[piv, :] if not field.rational else mat[piv, :]
+    sel = mat[piv, :]
     if field.rational:
         return mat - rref_rows.T @ sel
     corr = _matmul_modp(rref_rows.T % field.p, sel % field.p, field.p)

@@ -3,9 +3,12 @@ from math import comb
 import pytest
 
 from gridwlp import (
+    DimensionCapError,
     FatPointsSpec,
     PerpSpec,
     PowersIdealSpec,
+    PrimeField,
+    RationalField,
     SeedStream,
     ci_power_dim_formula,
     ci_power_piece,
@@ -22,7 +25,14 @@ from gridwlp import (
     socle_dims,
     subgrid,
 )
-from gridwlp.ideals import DegenerateSequenceError, perp_quotient_hf
+from gridwlp import ideals, linalg
+from gridwlp.ideals import (
+    DegenerateSequenceError,
+    perp_quotient_hf,
+    power_generators,
+    shifted_products_matrix,
+)
+from gridwlp.linalg import rank
 from gridwlp.polyspace import TOTAL3, dim_total, poly_mul, zero_poly
 
 
@@ -39,6 +49,44 @@ def test_powers_ideal_examples(fp, grid33):
     assert powers_ideal_dim(grid33, 3, 2) == 0
     piece = powers_ideal_piece(PowersIdealSpec(grid33, 2), 2)
     assert piece.dim == 9 and piece.rref.shape == (9, 10)
+
+
+def _full_ring_dim(grid, d, t):
+    if t < d:
+        return 0
+    return rank(shifted_products_matrix(power_generators(grid, d), t, grid.field), grid.field)
+
+
+@pytest.mark.parametrize(
+    "field, shapes, d_max",
+    [
+        (PrimeField(), [(2, 2), (2, 5), (3, 3), (3, 5)], 4),
+        (PrimeField(10007), [(2, 2), (2, 5), (3, 3), (3, 5)], 3),
+        (RationalField(), [(2, 2)], 2),
+    ],
+    ids=["p31", "p10007", "QQ"],
+)
+def test_powers_ideal_dim_matches_full_ring(field, shapes, d_max):
+    # the monomial-CI quotient route against the span in the full ring, in
+    # every degree up to one past the socle cap of (x_1^d, ..., x_4^d)
+    grids = [make_grid(a, b, field, seed=SeedStream(60 + 7 * a + b)) for a, b in shapes]
+    grids.append(make_grid(2, 3, field, u=[1, 2], v=[-1, 3, 5]))
+    for grid in grids:
+        for d in range(1, d_max + 1):
+            for t in range(0, 4 * (d - 1) + 3):
+                assert powers_ideal_dim(grid, d, t) == _full_ring_dim(grid, d, t), (grid.key(), d, t)
+
+
+def test_powers_ideal_dim_cap_guard_before_assembly(fp, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("matrix assembled before the cap guard")
+
+    grid = make_grid(2, 3, fp, seed=SeedStream(71))
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
+    monkeypatch.setattr(ideals, "shifted_products_matrix", no_assembly)
+    monkeypatch.setattr(ideals, "_normalised_generators", no_assembly)
+    with pytest.raises(DimensionCapError):
+        powers_ideal_dim(grid, 2, 4)  # 35 monomials of degree 4
 
 
 def test_fat_points_examples(fp, grid33, grid36):

@@ -105,13 +105,17 @@ def _shift_degree(grading, src_deg, t):
 def _shift_column_map(grading, src_deg, t) -> np.ndarray:
     """Column indices of monomial * basis(src_deg) inside basis(t), one row
     per shift monomial of degree t - src_deg."""
-    shifts = graded_basis(grading, _shift_degree(grading, src_deg, t))
-    src_basis = graded_basis(grading, src_deg)
-    idx_t = basis_index(grading, t)
-    out = np.empty((len(shifts), len(src_basis)), dtype=np.int64)
-    for s_i, gamma in enumerate(shifts):
-        out[s_i] = [idx_t[tuple(a + g for a, g in zip(alpha, gamma))] for alpha in src_basis]
-    return out
+    shifts = np.array(graded_basis(grading, _shift_degree(grading, src_deg, t)))
+    src_basis = np.array(graded_basis(grading, src_deg))
+    target = np.array(graded_basis(grading, t))
+    # exponent vectors as base-`radix` integers: no exponent of a product
+    # reaches radix, so the key of a product is the sum of the keys
+    radix = int(target.max()) + 1
+    weights = radix ** np.arange(grading.nvars)
+    target_keys = target @ weights
+    order = np.argsort(target_keys)
+    keys = (shifts @ weights)[:, None] + src_basis @ weights
+    return order[np.searchsorted(target_keys, keys, sorter=order)]
 
 
 @lru_cache(maxsize=256)
@@ -511,8 +515,8 @@ def _reduce_columns_against(mat: np.ndarray, rref_rows: np.ndarray, piv: list, f
     sel = mat[piv, :]
     if field.rational:
         return mat - rref_rows.T @ sel
-    corr = _matmul_modp(rref_rows.T % field.p, sel % field.p, field.p)
-    return (mat - corr) % field.p
+    corr = _matmul_modp(rref_rows.T, sel, field.p)
+    return (mat - corr.astype(np.int64)) % field.p
 
 
 def macaulay_dual_check(grid: GridConfig, d: int, t: int):

@@ -1,9 +1,20 @@
 """Dense exact linear algebra: rank, kernels, row-reduced spans.
 
-Two engines share one interface. Over F_p, rank uses blocked Gaussian
-elimination whose trailing updates are float64 BLAS matmuls on 16-bit limbs
-(exact because every partial product stays below 2^53). Over the rationals,
-a plain fraction elimination handles the small cross-check instances.
+Over F_p one kernel, ``_echelon``, computes the reduced row echelon form of
+every matrix. Residues are stored as float64 so that BLAS does the products.
+The kernel splits the rows in halves and echelonises the top half. It stops
+there if the top half already has full column rank. Otherwise it reduces the
+bottom half against the top with one modular matmul, on the non-pivot
+columns only, drops the rows that became zero, recurses on the rest, and
+merges the two bases. Blocks of at most ``_BASE`` rows or columns run a
+pivot loop in int64 instead. Each row reaches that loop only after it has
+been reduced against every pivot found before it, so the loop runs about
+once per unit of rank. The products split each factor into 16-bit limbs,
+so every partial sum is an integer below 2^53 and exact (see
+``_matmul_modp``).
+
+Over the rationals, a plain fraction elimination handles the small
+cross-check instances and is the oracle for the F_p kernel.
 """
 
 from __future__ import annotations
@@ -16,9 +27,12 @@ import numpy as np
 # error, never an OOM.
 COLUMN_CAP = 20000
 
-_PANEL = 256
-_CHUNK_COLS = 8192
-_MERSENNE31 = 2**31 - 1
+# Every modular product in this module has an inner dimension of at most the
+# column count, and _matmul_modp is exact only below 2^20.
+assert COLUMN_CAP < 2**20
+
+# Blocks with at most this many rows or columns go to the pivot loop.
+_BASE = 48
 
 
 class DimensionCapError(RuntimeError):
@@ -36,198 +50,113 @@ def _check_cap(ncols: int):
         )
 
 
-def _matmul_modp(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Exact (x @ y) % p via 16-bit limb splitting and float64 BLAS."""
-    if x.shape[1] != y.shape[0]:
-        raise ValueError("inner dimensions disagree")
-    k = x.shape[1]
-    if k == 0:
-        return np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
-    # partial products bounded by k * 2^16 * 2^16 < 2^53 for k < 2^21
-    assert k < (1 << 21)
-    x1 = (x >> 16).astype(np.float64)
-    x0 = (x & 0xFFFF).astype(np.float64)
-    y1 = (y >> 16).astype(np.float64)
-    y0 = (y & 0xFFFF).astype(np.float64)
-    hi = (x1 @ y1).astype(np.int64)
-    mid = (x1 @ y0).astype(np.int64) + (x0 @ y1).astype(np.int64)
-    lo = (x0 @ y0).astype(np.int64)
-    if p == _MERSENNE31 and k <= (1 << 12):
-        # 2^32 = 2 and 2^16 stays 2^16 mod the Mersenne prime; the combined
-        # value is < 2^57 for k <= 4096, so a single final reduction suffices
-        return (hi * 2 + (mid << 16) + lo) % p
-    hi %= p
-    mid %= p
-    lo %= p
-    out = (hi * ((1 << 32) % p)) % p
-    out += (mid * ((1 << 16) % p)) % p
-    out += lo
-    return out % p
+def _mod(z: np.ndarray, p: int) -> np.ndarray:
+    """Reduce a float64 array of integers with |z| < 2^53 - p mod p, in place.
 
-
-def _rref_small(block: np.ndarray, p: int):
-    """In-place RREF of a small int64 block; returns (#pivots, pivot cols,
-    original row index of each pivot row)."""
-    s, k = block.shape
-    pos = np.arange(s)
-    piv_cols = []
-    rr = 0
-    for col in range(k):
-        if rr == s:
-            break
-        nz = np.nonzero(block[rr:, col])[0]
-        if nz.size == 0:
-            continue
-        i = rr + int(nz[0])
-        if i != rr:
-            block[[rr, i]] = block[[i, rr]]
-            pos[[rr, i]] = pos[[i, rr]]
-        block[rr] = block[rr] * pow(int(block[rr, col]), -1, p) % p
-        others = np.nonzero(block[:, col])[0]
-        others = others[others != rr]
-        if others.size:
-            block[others] = (
-                block[others] - np.outer(block[others, col], block[rr])
-            ) % p
-        piv_cols.append(col)
-        rr += 1
-    return rr, piv_cols, pos[:rr]
-
-
-def _find_panel_pivots(a: np.ndarray, r: int, c: int, k: int, p: int):
-    """Scan rows r.. of a over columns [c, c+k) in windows, keeping a small
-    RREF; returns (absolute pivot row indices, sorted pivot columns).
-
-    The scan touches each row once: new windows are matmul-reduced against
-    the pivots found so far, so dense matrices finish after one window.
+    floor(z * (1/p)) is within one of floor(z / p), and q * p stays an exact
+    integer, so one correction each way gives the residue in [0, p).
     """
-    m = a.shape[0]
-    window = max(2 * k, 512)
-    basis = np.zeros((0, k), dtype=np.int64)
-    piv_cols: list = []
-    piv_rows: list = []
-    w = r
-    while w < m and len(piv_cols) < k:
-        hi = min(w + window, m)
-        block = a[w:hi, c : c + k].copy()
-        if piv_cols:
-            mult = block[:, piv_cols]
-            if np.any(mult):
-                block = (block - _matmul_modp(mult, basis, p)) % p
-        nz_rows = np.nonzero(np.any(block, axis=1))[0]
-        if nz_rows.size:
-            sub = block[nz_rows]
-            t, new_cols, orig = _rref_small(sub, p)
-            if t:
-                merged = np.vstack([basis, sub[:t]])
-                tt, merged_cols, _ = _rref_small(merged, p)
-                basis = merged[:tt]
-                piv_cols = merged_cols
-                piv_rows.extend(int(w + nz_rows[o]) for o in orig)
-        w = hi
-    return piv_rows, piv_cols
+    q = z * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    z -= q
+    np.add(z, p, out=z, where=z < 0)
+    np.subtract(z, p, out=z, where=z >= p)
+    return z
 
 
-def _rank_modp_blocked(a: np.ndarray, p: int) -> int:
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
+def _matmul_modp(x, y, p: int) -> np.ndarray:
+    """Exact (x @ y) mod p of two residue matrices, as float64 residues.
+
+    Each factor is split into 16-bit limbs, x = 2^16 x1 + x0 with x1 < 2^15
+    (p < 2^31), and the four limb products are float64 BLAS matmuls.
+    Horner's rule in 2^16 keeps every value below 2^47 + k * 2^32 < 2^53 for
+    an inner dimension k < 2^20, so every sum BLAS forms is exact.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    assert x.shape[1] < 2**20, "limb products would reach 2^53"
+    x1 = np.floor(x * 2.0**-16)
+    x0 = x - x1 * 2.0**16
+    y1 = np.floor(y * 2.0**-16)
+    y0 = y - y1 * 2.0**16
+    z = _mod(x1 @ y1, p)
+    z *= 2.0**16
+    z += x1 @ y0
+    z += x0 @ y1
+    _mod(z, p)
+    z *= 2.0**16
+    z += x0 @ y0
+    return _mod(z, p)
+
+
+def _residues(matrix, p: int) -> np.ndarray:
+    """Canonical residues of an integer matrix, as a C-ordered float64 copy."""
+    a = np.asarray(matrix, dtype=np.int64)
+    # negative entries read as >= 2^63 when viewed unsigned
+    if a.size and a.view(np.uint64).max() >= p:
+        a = a % p
+    return a.astype(np.float64, order="C")
+
+
+def _echelon(a: np.ndarray, p: int, reduced: bool = True):
+    """Row echelon basis of the row space of a float64 residue matrix.
+
+    Returns (rows, pivots): float64 rows with leading ones in the sorted
+    pivot columns (an int64 array). The rows are the unique RREF when
+    `reduced`; otherwise, which is enough for the rank, the pivot loop only
+    clears below its pivots. `a` is not modified.
+    """
     m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
-    if n > m:
-        a = np.ascontiguousarray(a.T)
-        m, n = n, m
-    rank = 0
-    c = 0
-    while rank < m and c < n:
-        k = min(_PANEL, n - c)
-        piv_rows, piv_cols = _find_panel_pivots(a, rank, c, k, p)
-        if not piv_rows:
-            c += k
-            continue
-        t = len(piv_rows)
-        _swap_rows_to_front(a, piv_rows, rank)
-        # Gauss-Jordan on the t pivot rows over the panel columns, tracking
-        # the t x t transform to replay on the trailing columns.
-        pb = a[rank : rank + t, c : c + k].copy()
-        tr = np.eye(t, dtype=np.int64)
+    if min(m, n) <= _BASE:
+        b = a.astype(np.int64)
+        piv = []
         rr = 0
-        for col in piv_cols:
-            nz = np.nonzero(pb[rr:, col])[0]
+        for col in b.any(axis=0).nonzero()[0].tolist():
+            nz = b[rr:, col].nonzero()[0]
+            if nz.size == 0:
+                continue
             i = rr + int(nz[0])
             if i != rr:
-                pb[[rr, i]] = pb[[i, rr]]
-                tr[[rr, i]] = tr[[i, rr]]
-            inv = pow(int(pb[rr, col]), -1, p)
-            pb[rr] = pb[rr] * inv % p
-            tr[rr] = tr[rr] * inv % p
-            others = np.nonzero(pb[:, col])[0]
-            others = others[others != rr]
+                b[[rr, i]] = b[[i, rr]]
+            b[rr] = b[rr] * pow(int(b[rr, col]), -1, p) % p
+            if reduced:
+                others = b[:, col].nonzero()[0]
+                others = others[others != rr]
+            else:
+                # the rows below rr that are nonzero in col: the swap only
+                # moved row rr, which is zero there, down to row i
+                others = nz[1:] + rr
             if others.size:
-                f = pb[others, col].copy()
-                pb[others] = (pb[others] - np.outer(f, pb[rr])) % p
-                tr[others] = (tr[others] - np.outer(f, tr[rr])) % p
+                sub = b[others]
+                b[others] = (sub - sub[:, col, None] * b[rr]) % p
+            piv.append(col)
             rr += 1
-        a[rank : rank + t, c : c + k] = pb
-        if c + k < n:
-            a[rank : rank + t, c + k :] = _matmul_modp(tr, a[rank : rank + t, c + k :], p)
-        # clear the panel columns of all remaining rows with chunked matmuls
-        rest = a[rank + t :]
-        if rest.shape[0]:
-            mult = rest[:, [c + pc for pc in piv_cols]].copy()
-            if np.any(mult):
-                src = a[rank : rank + t, c:]
-                for lo in range(0, src.shape[1], _CHUNK_COLS):
-                    hi = min(lo + _CHUNK_COLS, src.shape[1])
-                    upd = _matmul_modp(mult, src[:, lo:hi], p)
-                    rest[:, c + lo : c + hi] = (rest[:, c + lo : c + hi] - upd) % p
-        rank += t
-        c += k
-    return rank
-
-
-def _swap_rows_to_front(a: np.ndarray, piv_rows: list, base: int):
-    """Swap the given absolute rows into positions base..base+len-1."""
-    cur_pos = {}
-    occupant = {}
-    for i, orig in enumerate(piv_rows):
-        tgt = base + i
-        src = cur_pos.get(orig, orig)
-        if src == tgt:
-            continue
-        a[[src, tgt]] = a[[tgt, src]]
-        other = occupant.get(tgt, tgt)
-        cur_pos[orig] = tgt
-        occupant[tgt] = orig
-        cur_pos[other] = src
-        occupant[src] = other
-
-
-def _echelon_modp(a: np.ndarray, p: int, reduced: bool):
-    """Plain row echelon over F_p; returns (nonzero rows, pivot columns)."""
-    a = np.asarray(a, dtype=np.int64).copy() % p
-    m, n = a.shape
-    piv_cols = []
-    rr = 0
-    for col in range(n):
-        if rr == m:
-            break
-        nz = np.nonzero(a[rr:, col])[0]
-        if nz.size == 0:
-            continue
-        i = rr + int(nz[0])
-        if i != rr:
-            a[[rr, i]] = a[[i, rr]]
-        a[rr] = a[rr] * pow(int(a[rr, col]), -1, p) % p
-        if reduced:
-            others = np.nonzero(a[:, col])[0]
-            others = others[others != rr]
-        else:
-            others = rr + 1 + np.nonzero(a[rr + 1 :, col])[0]
-        if len(others):
-            a[others] = (a[others] - np.outer(a[others, col], a[rr])) % p
-        piv_cols.append(col)
-        rr += 1
-    return a[:rr], piv_cols
+            if rr == m:
+                break
+        return b[:rr].astype(np.float64), np.array(piv, dtype=np.int64)
+    h = m // 2
+    top, tp = _echelon(a[:h], p)
+    if tp.size == n:
+        return top, tp
+    free = np.setdiff1d(np.arange(n), tp)
+    rest = a[h:, free]
+    if tp.size:
+        # top[:, tp] is the identity, so this clears rest[:, tp]
+        rest = _mod(rest - _matmul_modp(a[h:, tp], top[:, free], p), p)
+    rest = rest[rest.any(axis=1)]
+    if rest.shape[0] == 0:
+        return top, tp
+    bot, bp = _echelon(rest, p, reduced)
+    bp = free[bp]
+    if reduced:
+        top[:, free] = _mod(top[:, free] - _matmul_modp(top[:, bp], bot, p), p)
+    rows = np.zeros((tp.size + bp.size, n))
+    rows[: tp.size] = top
+    rows[tp.size :, free] = bot
+    piv = np.concatenate([tp, bp])
+    order = np.argsort(piv)
+    return rows[order], piv[order]
 
 
 def _echelon_frac(a: np.ndarray, reduced: bool):
@@ -274,9 +203,11 @@ def rank(matrix, field) -> int:
         return 0
     if field.rational:
         return _echelon_frac(a, reduced=False)[0].shape[0]
-    if min(a.shape) <= 48:
-        return _echelon_modp(a, field.p, reduced=False)[0].shape[0]
-    return _rank_modp_blocked(a, field.p)
+    m, n = a.shape
+    if n > m > _BASE:
+        # long side as rows, so that the kernel can stop at full column rank
+        a = a.T
+    return _echelon(_residues(a, field.p), field.p, reduced=False)[1].size
 
 
 def kernel_dim(matrix, field) -> int:
@@ -294,7 +225,8 @@ def rref(matrix, field):
     _check_cap(a.shape[1])
     if field.rational:
         return _echelon_frac(a, reduced=True)
-    return _echelon_modp(a, field.p, reduced=True)
+    rows, piv = _echelon(_residues(a, field.p), field.p)
+    return rows.astype(np.int64), piv.tolist()
 
 
 def kernel_basis(matrix, field) -> np.ndarray:
@@ -304,12 +236,10 @@ def kernel_basis(matrix, field) -> np.ndarray:
     if a.size == 0 or not np.any(a != 0):
         return _identity(n, field)
     r, piv = rref(a, field)
-    free = [j for j in range(n) if j not in piv]
-    out = field.zeros((len(free), n))
-    for row_idx, f in enumerate(free):
-        out[row_idx, f] = field.one
-        for i, pc in enumerate(piv):
-            out[row_idx, pc] = field.neg(r[i, f])
+    free = np.setdiff1d(np.arange(n), piv)
+    out = field.zeros((free.size, n))
+    out[np.arange(free.size), free] = field.one
+    out[:, piv] = field.neg(r[:, free]).T
     return out
 
 

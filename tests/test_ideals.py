@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from gridwlp import (
@@ -33,7 +34,16 @@ from gridwlp.ideals import (
     shifted_products_matrix,
 )
 from gridwlp.linalg import rank
-from gridwlp.polyspace import TOTAL3, dim_total, poly_mul, zero_poly
+from gridwlp.polyspace import (
+    BIGRADED,
+    TOTAL3,
+    TOTAL4,
+    basis_index,
+    dim_total,
+    graded_basis,
+    poly_mul,
+    zero_poly,
+)
 
 
 def _random_form(deg, field, stream, grading=TOTAL3):
@@ -87,6 +97,29 @@ def test_powers_ideal_dim_cap_guard_before_assembly(fp, monkeypatch):
     monkeypatch.setattr(ideals, "_normalised_generators", no_assembly)
     with pytest.raises(DimensionCapError):
         powers_ideal_dim(grid, 2, 4)  # 35 monomials of degree 4
+
+
+@pytest.mark.parametrize(
+    "grading, src_deg, t",
+    [
+        (TOTAL3, 0, 0), (TOTAL3, 1, 4), (TOTAL3, 10, 31),
+        (TOTAL4, 3, 3), (TOTAL4, 2, 9), (TOTAL4, 10, 20),
+        (BIGRADED, (0, 0), (2, 3)), (BIGRADED, (1, 2), (3, 2)), (BIGRADED, (2, 2), (5, 4)),
+    ],
+)
+def test_shift_column_map_matches_dict_build(grading, src_deg, t):
+    # one basis_index lookup per (shift, monomial), as the map was first built
+    shift_deg = ideals._shift_degree(grading, src_deg, t)
+    idx_t = basis_index(grading, t)
+    expect = np.array(
+        [
+            [idx_t[tuple(a + g for a, g in zip(alpha, gamma))] for alpha in graded_basis(grading, src_deg)]
+            for gamma in graded_basis(grading, shift_deg)
+        ],
+        dtype=np.int64,
+    )
+    got = ideals._shift_column_map(grading, src_deg, t)
+    assert got.dtype == np.int64 and np.array_equal(got, expect)
 
 
 def test_fat_points_examples(fp, grid33, grid36):

@@ -3,6 +3,7 @@ import pytest
 
 from gridwlp import (
     DimensionCapError,
+    PrimeField,
     SeedStream,
     kernel_basis,
     kernel_dim,
@@ -12,9 +13,8 @@ from gridwlp import (
     union_dim,
 )
 from gridwlp.linalg import (
-    _echelon_modp,
     _matmul_modp,
-    _rank_modp_blocked,
+    _mod,
     intersection_dim,
     rref,
     subspace_from_rows,
@@ -73,19 +73,85 @@ def test_rank_equals_rank_of_transpose(fp):
         assert rank(mat, fp) == rank(mat.T, fp)
 
 
-def test_blocked_engine_matches_reference(fp):
-    rng = _rng(12)
+PRIMES = (2**31 - 1, 2, 3, 10007)
+
+
+def _oracle_rref(mat, p):
+    """Gauss-Jordan over F_p in Python integers: (RREF rows, pivot columns)."""
+    a = np.array(mat, dtype=np.int64).astype(object) % p
+    m, n = a.shape
+    piv = []
+    for c in range(n):
+        r = len(piv)
+        sel = next((i for i in range(r, m) if a[i, c] != 0), None)
+        if sel is None:
+            continue
+        a[[r, sel]] = a[[sel, r]]
+        # row r is zero left of c
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        for i in range(m):
+            if i != r and a[i, c] != 0:
+                a[i, c:] = (a[i, c:] - a[i, c] * a[r, c:]) % p
+        piv.append(c)
+    return a[: len(piv)].astype(np.int64), piv
+
+
+def _low_rank(rng, m, n, r, p):
+    if r == 0:
+        return np.zeros((m, n), dtype=np.int64)
+    a = rng.integers(0, p, (m, r))
+    b = rng.integers(0, p, (r, n))
+    return _matmul_modp(a, b, p).astype(np.int64)
+
+
+def _kernel_cases(rng, p):
+    """The 25 random shapes, then shapes that reach each branch of the
+    kernel: tall full rank (the early stop), tall rank-deficient, wide, and
+    zero and duplicate rows interleaved with the others."""
     for _ in range(25):
         m = int(rng.integers(1, 220))
         n = int(rng.integers(1, 220))
-        r = int(rng.integers(0, min(m, n) + 1))
-        if r:
-            a = rng.integers(0, fp.p, (m, r)).astype(np.int64)
-            b = rng.integers(0, fp.p, (r, n)).astype(np.int64)
-            mat = _matmul_modp(a, b, fp.p)
-        else:
-            mat = np.zeros((m, n), dtype=np.int64)
-        assert _rank_modp_blocked(mat, fp.p) == _echelon_modp(mat, fp.p, False)[0].shape[0]
+        yield _low_rank(rng, m, n, int(rng.integers(0, min(m, n) + 1)), p)
+    yield rng.integers(0, p, (300, 60))
+    yield _low_rank(rng, 300, 80, 70, p)
+    yield _low_rank(rng, 60, 250, 55, p)
+    yield rng.integers(0, p, (70, 200))
+    base = _low_rank(rng, 120, 90, 50, p)
+    mixed = np.zeros((360, 90), dtype=np.int64)
+    mixed[0::3] = base
+    mixed[1::3] = base[::-1]
+    yield mixed
+
+
+def test_blocked_engine_matches_reference():
+    # rank and rref against an independent Python-integer elimination
+    rng = _rng(12)
+    for p in PRIMES:
+        field = PrimeField(p)
+        for mat in _kernel_cases(rng, p):
+            expect_rows, expect_piv = _oracle_rref(mat, p)
+            assert rank(mat, field) == len(expect_piv)
+            rows, piv = rref(mat, field)
+            assert piv == expect_piv
+            assert rows.dtype == np.int64 and np.array_equal(rows, expect_rows)
+
+
+def test_matmul_modp_exact_at_largest_inner_dimension(fp):
+    # every entry p - 1: the largest value each limb product can reach
+    k = 2**20 - 1
+    x = np.full((1, k), fp.p - 1, dtype=np.float64)
+    out = _matmul_modp(x, x.T, fp.p)
+    assert out.shape == (1, 1) and int(out[0, 0]) == k * (fp.p - 1) ** 2 % fp.p
+    with pytest.raises(AssertionError):
+        _matmul_modp(np.zeros((1, 2**20)), np.zeros((2**20, 1)), fp.p)
+
+
+def test_floor_reduction_near_two_to_the_53():
+    for p in PRIMES:
+        top = 2**53 - p
+        ints = [*range(top - 4096, top), *range(-p + 1, -p + 64), *range(-64, 64), *range(p - 64, p)]
+        z = _mod(np.array(ints, dtype=np.float64), p)
+        assert z.tolist() == [float(v % p) for v in ints]
 
 
 def test_matmul_modp_matches_object_arithmetic(fp):
@@ -101,15 +167,24 @@ def test_prime_and_rational_ranks_agree(fp, qq):
     for _ in range(5):
         mat = rng.integers(-9, 9, (12, 9))
         assert rank(fp.array(mat), fp) == rank(qq.array(mat), qq)
+        # unreduced input: negative entries and entries of p or more
+        assert rank(mat, fp) == rank(mat + 3 * fp.p, fp) == rank(qq.array(mat), qq)
+    # entries far below zero, through the recursive route
+    tall = rng.integers(-9, 9, (70, 4)) @ rng.integers(-9, 9, (4, 60)) - (fp.p << 20)
+    assert rank(tall, fp) == rank(fp.array(tall), fp)
 
 
-def test_kernel_basis_is_in_kernel(fp):
+def test_kernel_basis_is_in_kernel(fp, qq):
     rng = _rng(8)
     mat = rng.integers(0, fp.p, (6, 10)).astype(np.int64)
     ker = kernel_basis(mat, fp)
     assert ker.shape[0] == 10 - rank(mat, fp)
     prod = _matmul_modp(mat, ker.T % fp.p, fp.p)
     assert not prod.any()
+    small = rng.integers(-5, 5, (2, 4)) @ rng.integers(-5, 5, (4, 9))
+    ker_q = kernel_basis(qq.array(small), qq)
+    assert ker_q.shape[0] == 9 - rank(qq.array(small), qq)
+    assert not (qq.array(small) @ ker_q.T).any()
 
 
 def test_union_and_intersection(fp):

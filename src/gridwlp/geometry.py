@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeTooSmallError, SeedStream
-from .linalg import rank
+from .linalg import _check_cap, rank
 from .polyspace import (
     TOTAL3,
     TOTAL4,
@@ -345,8 +345,8 @@ def plane_points_hf(points, t: int, field) -> int:
         return 0
     if not points:
         return 0
-    rows = np.vstack([vanishing_rows(TOTAL3, t, pt, 1, field) for pt in points])
-    return rank(rows, field)
+    _check_cap(dim_total(3, t))
+    return rank(vanishing_rows(TOTAL3, t, points, 1, field), field)
 
 
 @lru_cache(maxsize=None)

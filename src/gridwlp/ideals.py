@@ -240,23 +240,23 @@ def powers_ideal_piece(spec: PowersIdealSpec, t: int) -> SubspaceBasis:
 # fat points
 
 
+def _fat_grading(spec: FatPointsSpec):
+    if spec.bigraded:
+        return BIGRADED
+    return TOTAL4 if len(spec.points[0]) == 4 else TOTAL3
+
+
 def fat_points_matrix(spec: FatPointsSpec, degree, field) -> np.ndarray:
-    grading = BIGRADED if spec.bigraded else (
-        TOTAL4 if len(spec.points[0]) == 4 else TOTAL3
-    )
-    return np.vstack(
-        [vanishing_rows(grading, degree, pt, spec.multiplicity, field) for pt in spec.points]
-    )
+    grading = _fat_grading(spec)
+    _check_cap(basis_size(grading, degree))
+    return vanishing_rows(grading, degree, spec.points, spec.multiplicity, field)
 
 
 def fat_points_piece(spec: FatPointsSpec, degree, field) -> SubspaceBasis:
     """Kernel of the evaluation-of-partials matrix on the graded piece."""
-    grading = BIGRADED if spec.bigraded else (
-        TOTAL4 if len(spec.points[0]) == 4 else TOTAL3
-    )
     mat = fat_points_matrix(spec, degree, field)
     ker = kernel_basis(mat, field)
-    return SubspaceBasis((grading, degree), ker, ker.shape[0])
+    return SubspaceBasis((_fat_grading(spec), degree), ker, ker.shape[0])
 
 
 def fat_points_dim(spec: FatPointsSpec, degree, field) -> int:

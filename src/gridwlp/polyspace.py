@@ -265,83 +265,75 @@ def condition_multiindices(nvars_active: int, m: int) -> tuple:
     return tuple(out)
 
 
-def vanishing_rows(grading: Grading, degree, point, m: int, field) -> np.ndarray:
-    """Evaluation-of-partials rows for one point: row beta applied to a
-    coefficient vector gives the order-beta partial of the polynomial at the
-    point, in an affine chart at the point.
+@lru_cache(maxsize=256)
+def _chart_partials(grading: Grading, degree, m: int, chart, field):
+    """The point-independent part of the evaluation-of-partials rows in one
+    chart: (exps, betas, fall) with exps[i, j] the exponent of x_i in the
+    j-th monomial of the piece, betas[i, r] that of the r-th chart partial of
+    order < m (0 on the chart coordinates), and fall[b, e] = falling(e, b)
+    reduced in the field.
+    """
+    nv = grading.nvars
+    exps = np.array(graded_basis(grading, degree), dtype=np.int64).reshape(-1, nv)
+    if grading.kind == "total":
+        active = [i for i in range(nv) if i != chart]
+        orders = condition_multiindices(nv - 1, m)
+        betas = np.zeros((len(orders), nv), dtype=np.int64)
+        betas[:, active] = orders
+    else:
+        betas = np.array([(0, i, 0, s - i) for s in range(m) for i in range(s + 1)])
+    emax = int(exps.max(initial=0))
+    fall = field.array(
+        [[field.normalize(_falling(e, b)) for e in range(emax + 1)] for b in range(m)]
+    )
+    # the smallest unsigned type that holds every exponent keeps the cache small
+    index = np.min_scalar_type(max(emax, m))
+    return np.ascontiguousarray(exps.T, index), np.ascontiguousarray(betas.T, index), fall
+
+
+def vanishing_rows(grading: Grading, degree, points, m: int, field) -> np.ndarray:
+    """Evaluation-of-partials rows for all the points, point-major, then
+    partial: row (P, beta) applied to a coefficient vector gives the
+    order-beta partial of the polynomial at P, in an affine chart at P.
 
     For total gradings the chart drops the first nonzero coordinate of the
-    point; the bigraded chart drops one coordinate per factor.
+    point. A bigraded point is a parameter pair (u, v) for ((1:u),(1:v)), and
+    its chart drops x0 and y0. The entry at x^e is the structural part
+    prod_i falling(e_i, beta_i) times P^(e - beta), which is the product over
+    i of falling(e_i, beta_i) * P_i^(e_i - beta_i), read from one table for
+    all the points of a chart.
     """
-    basis = graded_basis(grading, degree)
-    exps = np.array(basis, dtype=np.int64)
-    n = len(basis)
-    pt = [field.normalize(c) for c in point]
-
     if grading.kind == "total":
-        nv = grading.nvars
-        piv = _pivot_coordinate(pt)
-        active = [i for i in range(nv) if i != piv]
-        betas = condition_multiindices(nv - 1, m)
-        maxdeg = degree
-        tables = []
-        for i in range(nv):
-            bmax = 0 if i == piv else m - 1
-            tab = _fall_pow_table(pt[i], maxdeg, bmax, field)
-            tables.append(tab)
-        rows = field.zeros((len(betas), n))
-        for r, beta in enumerate(betas):
-            full = [0] * nv
-            for k, i in enumerate(active):
-                full[i] = beta[k]
-            row = None
-            for i in range(nv):
-                col = tables[i][exps[:, i], full[i]]
-                row = col if row is None else _vec_mul(row, col, field)
-            rows[r] = row
-        return rows
-
-    # bigraded: point given as a parameter pair (u, v) for ((1:u),(1:v))
-    u, v = [field.normalize(c) for c in point]
-    du, dv = degree
-    betas = [(i, j) for s in range(m) for i in range(s + 1) for j in [s - i]]
-    tab_x0 = _fall_pow_table(field.one, du, 0, field)
-    tab_x1 = _fall_pow_table(u, du, m - 1, field)
-    tab_y0 = _fall_pow_table(field.one, dv, 0, field)
-    tab_y1 = _fall_pow_table(v, dv, m - 1, field)
-    rows = field.zeros((len(betas), n))
-    for r, (bi, bj) in enumerate(betas):
-        row = tab_x0[exps[:, 0], 0]
-        row = _vec_mul(row, tab_x1[exps[:, 1], bi], field)
-        row = _vec_mul(row, tab_y0[exps[:, 2], 0], field)
-        row = _vec_mul(row, tab_y1[exps[:, 3], bj], field)
-        rows[r] = row
-    return rows
-
-
-def _vec_mul(a, b, field):
-    if field.rational:
-        return a * b
-    return a * b % field.p
-
-
-def _fall_pow_table(value, emax: int, bmax: int, field):
-    """table[e, b] = falling(e, b) * value^(e-b), zero when b > e."""
-    if field.rational:
-        tab = field.zeros((emax + 1, bmax + 1))
-        for e in range(emax + 1):
-            for b in range(min(e, bmax) + 1):
-                tab[e, b] = field.normalize(_falling(e, b)) * value ** (e - b)
-        return tab
-    p = field.p
-    tab = np.zeros((emax + 1, bmax + 1), dtype=np.int64)
-    powers = [1] * (emax + 1)
-    for e in range(1, emax + 1):
-        powers[e] = powers[e - 1] * value % p
-    for e in range(emax + 1):
-        for b in range(min(e, bmax) + 1):
-            tab[e, b] = _falling(e, b) % p * powers[e - b] % p
-    return tab
+        pts = [[field.normalize(c) for c in pt] for pt in points]
+        charts = [_pivot_coordinate(pt) for pt in pts]
+    else:
+        pts = [[field.one, field.normalize(u), field.one, field.normalize(v)] for u, v in points]
+        charts = [None] * len(pts)
+    groups: dict = {}
+    for k, chart in enumerate(charts):
+        groups.setdefault(chart, []).append(k)
+    blocks = []
+    for chart, sel in groups.items():
+        exps, betas, fall = _chart_partials(grading, degree, m, chart, field)
+        coords = field.array([pts[k] for k in sel])
+        # table[k, i, b, e] = falling(e, b) * P_ki^(e - b), zero when b > e
+        table = field.zeros(coords.shape + fall.shape)
+        powers = table[:, :, 0]
+        powers[:, :, 0] = field.one
+        for e in range(1, fall.shape[1]):
+            powers[:, :, e] = field.mul(powers[:, :, e - 1], coords)
+        for b in range(1, min(fall.shape)):
+            table[:, :, b, b:] = field.mul(fall[b, b:], powers[:, :, :-b])
+        block = table[:, 0, betas[0, :, None], exps[0]]
+        for i in range(1, grading.nvars):
+            block = field.mul(block, table[:, i, betas[i, :, None], exps[i]])
+        blocks.append(block)
+    rows = blocks[0]
+    if len(blocks) > 1:
+        # back to the order of the points
+        rows = np.concatenate(blocks)[np.argsort(np.concatenate(list(groups.values())))]
+    npts, nbetas, n = rows.shape
+    return rows.reshape(npts * nbetas, n)
 
 
 def partials_at_point(f: PolyVector, point, m: int):
@@ -349,7 +341,7 @@ def partials_at_point(f: PolyVector, point, m: int):
     operator order."""
     if m < 1:
         raise ValueError("order m must be >= 1")
-    rows = vanishing_rows(f.grading, f.degree, point, m, f.field)
+    rows = vanishing_rows(f.grading, f.degree, [point], m, f.field)
     if f.field.rational:
         return [sum((rows[r, i] * f.coeffs[i] for i in range(rows.shape[1])), f.field.zero)
                 for r in range(rows.shape[0])]

@@ -244,17 +244,14 @@ def check_recursion_identity(field, stream, trials=3, a_max=5) -> CheckResult:
     c = _Check(10, "fat-point recursion across the quadric")
     for (a, b) in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6)):
         grid = _grid(a, b, field, stream, "rec")
+        lhs_at = {}  # (alpha, t) -> dim[I_X^(alpha)]_t, the middle term at alpha + 1
         for alpha in (1, 2, 3):
             for t in range(0, 9):
-                lhs = fat_points_dim(grid_fat_spec(grid, alpha), t, field)
+                lhs = lhs_at[alpha, t] = fat_points_dim(grid_fat_spec(grid, alpha), t, field)
                 if alpha == 1:
                     mid = dim_total(4, t - 2)
                 else:
-                    mid = (
-                        fat_points_dim(grid_fat_spec(grid, alpha - 1), t - 2, field)
-                        if t >= 2
-                        else 0
-                    )
+                    mid = lhs_at[alpha - 1, t - 2] if t >= 2 else 0
                 zpart = fat_points_dim(grid_bigraded_spec(grid, alpha), (t, t), field)
                 c.expect(f"{a}x{b} alpha={alpha} t={t}", lhs, mid + zpart)
     return c.done()

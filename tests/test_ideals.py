@@ -26,7 +26,7 @@ from gridwlp import (
     socle_dims,
     subgrid,
 )
-from gridwlp import ideals, linalg
+from gridwlp import geometry, ideals, linalg
 from gridwlp.ideals import (
     DegenerateSequenceError,
     perp_quotient_hf,
@@ -99,6 +99,21 @@ def test_powers_ideal_dim_cap_guard_before_assembly(fp, monkeypatch):
         powers_ideal_dim(grid, 2, 4)  # 35 monomials of degree 4
 
 
+def test_fat_points_cap_guard_before_assembly(fp, grid33, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("vanishing rows built before the cap guard")
+
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
+    monkeypatch.setattr(ideals, "vanishing_rows", no_assembly)
+    monkeypatch.setattr(geometry, "vanishing_rows", no_assembly)
+    with pytest.raises(DimensionCapError):
+        fat_points_dim(grid_fat_spec(grid33, 2), 4, fp)  # 35 monomials of degree 4
+    with pytest.raises(DimensionCapError):
+        fat_points_hf(grid_bigraded_spec(grid33, 1), (5, 5), fp)  # 36 of bidegree (5, 5)
+    with pytest.raises(DimensionCapError):
+        geometry.plane_points_hf([(1, 2, 3)], 7, fp)  # 36 of degree 7 in 3 variables
+
+
 @pytest.mark.parametrize(
     "grading, src_deg, t",
     [
@@ -127,6 +142,27 @@ def test_fat_points_examples(fp, grid33, grid36):
     assert fat_points_dim(grid_fat_spec(grid36, 1), 5, fp) == 38
     assert fat_points_dim(grid_fat_spec(grid33, 2), 5, fp) == 20
     assert fat_points_hf(grid_fat_spec(grid33, 2), 5, fp) == 36
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()], ids=["p31", "qq"])
+def test_fat_points_of_an_empty_piece(field):
+    # a negative degree is an empty graded piece: a (rows x 0) matrix, dim 0
+    grid = make_grid(3, 3, field, seed=SeedStream(5))
+    plane = FatPointsSpec(points=((1, 2, 3), (0, 1, 4)), multiplicity=2)
+    cases = [
+        (grid_fat_spec(grid, 1), -1, 9),
+        (grid_fat_spec(grid, 2), -3, 36),
+        (plane, -1, 6),
+        (grid_bigraded_spec(grid, 2), (-1, 2), 27),
+        (grid_bigraded_spec(grid, 1), (3, -1), 9),
+    ]
+    for spec, degree, nrows in cases:
+        assert ideals.fat_points_matrix(spec, degree, field).shape == (nrows, 0)
+        assert fat_points_dim(spec, degree, field) == 0
+        assert fat_points_hf(spec, degree, field) == 0
+    # nine points on the quadric: no linear form through them, one quadric
+    table = hilbert_table(grid_fat_spec(grid, 1), range(-1, 3), field)
+    assert table.dims == {-1: 0, 0: 0, 1: 0, 2: 1}
 
 
 def test_bigraded_fat_points_examples(fp, grid36):

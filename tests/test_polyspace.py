@@ -1,9 +1,12 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from gridwlp import (
     BIGRADED,
+    PrimeField,
+    RationalField,
     SeedStream,
     TOTAL3,
     TOTAL4,
@@ -11,14 +14,18 @@ from gridwlp import (
     graded_basis,
     linear_form,
     linear_power,
+    make_grid,
     partials_at_point,
     poly_mul,
 )
 from gridwlp.linalg import rank
 from gridwlp.polyspace import (
     GradingMismatchError,
+    _falling,
     basis_size,
+    condition_multiindices,
     poly_from_terms,
+    vanishing_rows,
     zero_poly,
 )
 from gridwlp.ideals import contraction_matrix
@@ -184,3 +191,63 @@ def test_contraction_full_rank_for_quadric_powers(fp, grid33):
         mat = contraction_matrix(qt, t)
         assert rank(mat, fp) == mat.shape[1]
         qt = poly_mul(qt, q)
+
+
+def _fall_pow_column(value, exps, b, field):
+    # falling(e, b) * value^(e - b) for each e, zero when b > e
+    return field.array(
+        [field.mul(field.normalize(_falling(e, b)), value ** (e - b)) if b <= e else field.zero
+         for e in exps.tolist()]
+    )
+
+
+def _pointwise_rows(grading, degree, point, m, field):
+    # one point and one partial at a time, one coordinate after another, as
+    # the rows were first built
+    exps = np.array(graded_basis(grading, degree), dtype=np.int64).reshape(-1, grading.nvars)
+    if grading.kind == "total":
+        pt = [field.normalize(c) for c in point]
+        piv = next(i for i, c in enumerate(pt) if c != 0)
+        active = [i for i in range(grading.nvars) if i != piv]
+        betas = []
+        for beta in condition_multiindices(grading.nvars - 1, m):
+            full = [0] * grading.nvars
+            for k, i in enumerate(active):
+                full[i] = beta[k]
+            betas.append(full)
+    else:
+        pt = [field.one, field.normalize(point[0]), field.one, field.normalize(point[1])]
+        betas = [(0, i, 0, s - i) for s in range(m) for i in range(s + 1)]
+    rows = field.zeros((len(betas), len(exps)))
+    for r, beta in enumerate(betas):
+        row = None
+        for i in range(grading.nvars):
+            col = _fall_pow_column(pt[i], exps[:, i], beta[i], field)
+            row = col if row is None else field.mul(row, col)
+        rows[r] = row
+    return rows
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(), PrimeField(10007), RationalField()], ids=["p31", "p10007", "qq"]
+)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_vanishing_rows_matches_pointwise_build(field, m):
+    grid = make_grid(2, 3, field, seed=SeedStream(23))
+    grid_points = list(grid.points())
+    # pivots 2, 0, 1 and 3 in one call: the rows must come back in this order
+    mixed = [(0, 0, 3, 5), grid_points[0], (0, 7, -2, 1), (0, 0, 0, 4), grid_points[1]]
+    plane = [(1, 2, 3), (0, 1, 6), (0, 0, 1), (4, -1, 9)]
+    cases = [
+        (TOTAL4, grid_points, [-1, 0, 1, 2, 5]),
+        (TOTAL4, mixed, [0, 1, 4]),
+        (TOTAL3, plane, [0, 1, 3]),
+        (BIGRADED, list(grid.param_pairs()), [(-1, 2), (0, 0), (1, 0), (2, 1), (3, 3), (256, 0)]),
+    ]
+    for grading, points, degrees in cases:
+        for degree in degrees:
+            expect = np.vstack([_pointwise_rows(grading, degree, pt, m, field) for pt in points])
+            got = vanishing_rows(grading, degree, points, m, field)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect), (grading, degree)
+            if field.rational:
+                assert all(type(x) is type(y) for x, y in zip(got.ravel(), expect.ravel()))

@@ -25,10 +25,16 @@ from .field import (
 from .formulas import coker_formula_geproci
 from .geometry import InvalidLocusError, make_grid
 from .ideals import PowersIdealSpec, hilbert_table
-from .lefschetz import bx_sequence, mult_map_analysis, non_lefschetz_probe, wlp_test
+from .lefschetz import (
+    best_map,
+    bx_sequence,
+    draw_forms,
+    mult_map_analysis,
+    non_lefschetz_probe,
+    wlp_test,
+)
 from .linalg import DimensionCapError
 from .verify import run_suite
-from .geometry import sample_form
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -205,13 +211,9 @@ def cmd_hf(args) -> int:
 
 def cmd_coker(args) -> int:
     grid = _make_grid(args)
-    stream = SeedStream(args.seed)
-    best = None
-    for trial in range(args.trials):
-        ell = sample_form(grid, "generic", stream.child("form", trial))
-        rep = mult_map_analysis(grid, args.d, ell, args.t)
-        if best is None or rep.coker_dim < best.coker_dim:
-            best = rep
+    forms = draw_forms(grid, "generic", SeedStream(args.seed).child("form"), args.trials)
+    # at a fixed t the highest rank is the lowest cokernel
+    best = best_map(mult_map_analysis(grid, args.d, ell, args.t) for ell in forms)
     pred = coker_formula_geproci(grid.a, grid.b, args.d, args.t - args.d)
     payload = {
         "t": args.t,

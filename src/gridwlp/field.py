@@ -219,6 +219,11 @@ class SeedStream:
             s = _fold_label(s, lab)
         self._state = _mix64(s ^ _GOLDEN)
 
+    @classmethod
+    def of(cls, seed) -> "SeedStream":
+        """`seed` itself if it is a stream, else the root stream of that seed."""
+        return seed if isinstance(seed, SeedStream) else cls(seed)
+
     def child(self, *labels) -> "SeedStream":
         return SeedStream(self.seed, self.labels + tuple(labels))
 

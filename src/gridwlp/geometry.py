@@ -52,9 +52,6 @@ class GridConfig:
         if len(set(self.u)) != self.a or len(set(self.v)) != self.b:
             raise GridError("grid parameters must be distinct")
 
-    def key(self):
-        return (self.a, self.b, self.u, self.v, getattr(self.field, "p", "QQ"))
-
     def point(self, i: int, j: int) -> tuple:
         f = self.field
         return (f.one, self.v[j], self.u[i], f.mul(self.u[i], self.v[j]))
@@ -170,8 +167,7 @@ def make_grid(a: int, b: int, field, seed=None, u=None, v=None) -> GridConfig:
     else:
         if seed is None:
             raise GridError("need a seed or explicit parameters")
-        stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
-        gs = stream.child("grid")
+        gs = SeedStream.of(seed).child("grid")
         uu = tuple(gs.child("u").distinct_scalars(field, a))
         vv = tuple(gs.child("v").distinct_scalars(field, b))
     if len(uu) != a or len(vv) != b:

@@ -172,7 +172,7 @@ def power_generators(grid: GridConfig, d: int) -> list:
 
 
 @lru_cache(maxsize=128)
-def _normalised_generators(grid_key, d: int) -> list:
+def _normalised_generators(grid: GridConfig, d: int) -> list:
     """The generators other than the four corner ones, after the coordinate
     change A (x) B with A, B the Mobius maps (1, x) -> (x - x_2, x - x_1) on
     the u and v parameters.
@@ -182,7 +182,6 @@ def _normalised_generators(grid_key, d: int) -> list:
     coordinate point and their powers generate (x_1^d, ..., x_4^d). The
     substitution is linear and invertible, so dim[I]_t does not change.
     """
-    grid = _GRIDS[grid_key]
     f = grid.field
 
     def mobius(params):
@@ -197,16 +196,18 @@ def _normalised_generators(grid_key, d: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _powers_dim_cached(grid_key, d: int, t: int) -> int:
+def _powers_dim_cached(grid: GridConfig, d: int, t: int) -> int:
     """dim[(x_1^d, ..., x_4^d)]_t plus the rank of the other normalised
-    generators in B_t, where B = R/(x_1^d, ..., x_4^d)."""
-    grid = _GRIDS[grid_key]
+    generators in B_t, where B = R/(x_1^d, ..., x_4^d).
+
+    The frozen GridConfig is the cache key: it compares by value, its field
+    included, so a Q grid and an F_p grid with equal parameters differ."""
     if t < d:
         return 0
     n_t = dim_total(4, t)
     _check_cap(n_t)
     field = grid.field
-    others = _normalised_generators(grid_key, d)
+    others = _normalised_generators(grid, d)
     n_quot = int(_below_mask(TOTAL4, t, d).sum())
     if others:
         mat = shifted_products_matrix(others, t, field, below=d)
@@ -215,16 +216,9 @@ def _powers_dim_cached(grid_key, d: int, t: int) -> int:
     return n_t - n_quot + rank(mat, field)
 
 
-# frozen GridConfig instances are registered here so the dim cache can key on
-# the cheap tuple key instead of the object
-_GRIDS: dict = {}
-
-
 def powers_ideal_dim(grid: GridConfig, d: int, t: int) -> int:
     """dim of the degree-t piece of the powers ideal (fast, cached)."""
-    key = grid.key()
-    _GRIDS.setdefault(key, grid)
-    return _powers_dim_cached(key, d, t)
+    return _powers_dim_cached(grid, d, t)
 
 
 def powers_ideal_piece(spec: PowersIdealSpec, t: int) -> SubspaceBasis:

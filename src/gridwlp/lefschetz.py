@@ -37,6 +37,15 @@ class MultMapReport:
     kernel_dim: int
     coker_dim: int
 
+    @classmethod
+    def from_coker(cls, t: int, dim_from: int, dim_to: int, coker: int) -> "MultMapReport":
+        """The validated report of a map whose cokernel was measured; rank
+        and kernel follow by rank counting."""
+        rank_map = dim_to - coker
+        rep = cls(t, dim_from, dim_to, rank_map, dim_from - rank_map, coker)
+        rep.validate()
+        return rep
+
     @property
     def expected_kernel(self) -> int:
         return max(0, self.dim_from - self.dim_to)
@@ -166,21 +175,10 @@ def mult_map_analysis(grid: GridConfig, d: int, ell, t: int) -> MultMapReport:
 
 
 def _mult_map_from_quotient(grid, d, qp: _QuotientPowers, t: int) -> MultMapReport:
-    dim_from = quotient_dim(grid, d, t - 1)
-    dim_to = quotient_dim(grid, d, t)
     coker = basis_size(TOTAL3, t) - qp.ideal_dim(t)
-    rank_map = dim_to - coker
-    ker = dim_from - rank_map
-    rep = MultMapReport(
-        t=t,
-        dim_from=dim_from,
-        dim_to=dim_to,
-        rank=rank_map,
-        kernel_dim=ker,
-        coker_dim=coker,
+    return MultMapReport.from_coker(
+        t, quotient_dim(grid, d, t - 1), quotient_dim(grid, d, t), coker
     )
-    rep.validate()
-    return rep
 
 
 def sweep_degrees(grid: GridConfig, d: int) -> list:
@@ -194,28 +192,43 @@ def sweep_degrees(grid: GridConfig, d: int) -> list:
     return out
 
 
-def wlp_test(grid: GridConfig, d: int, trials: int = 3, seed=0xC0FFEE) -> WlpReport:
-    """Sweep every degree to the socle; per degree keep the best rank over
-    `trials` independent generic forms. Maximal rank certified by any single
-    trial; failure requires all trials to agree."""
+def draw_forms(grid: GridConfig, locus, stream: SeedStream, trials: int) -> list:
+    """The forms of one best-of-trials run: trial k samples `locus` from
+    stream.child(k)."""
     if trials < 1:
         raise LefschetzError("trials must be >= 1")
-    stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
+    return [sample_form(grid, locus, stream.child(k)) for k in range(trials)]
+
+
+def best_map(reports, stop_coker=None) -> MultMapReport:
+    """The first report of highest rank. `reports` is consumed lazily: no
+    trial beats a maximal report, so pulling stops there, and also once the
+    best cokernel equals `stop_coker`."""
+    reports = iter(reports)
+    best = next(reports, None)
+    if best is None:
+        raise LefschetzError("best_map needs at least one report")
+    while not (best.maximal or best.coker_dim == stop_coker):
+        rep = next(reports, None)
+        if rep is None:
+            break
+        if rep.rank > best.rank:
+            best = rep
+    return best
+
+
+def wlp_test(grid: GridConfig, d: int, trials: int = 3, seed=0xC0FFEE) -> WlpReport:
+    """Sweep every degree to the socle; per degree keep the best rank over
+    `trials` independent generic forms, drawn once and reused in every
+    degree. Maximal rank certified by any single trial; failure requires all
+    trials to agree."""
+    forms = draw_forms(grid, "generic", SeedStream.of(seed).child("form"), trials)
     degrees = sweep_degrees(grid, d)
-    quotients = []
-    for trial in range(trials):
-        ell = sample_form(grid, "generic", stream.child("form", trial))
-        quotients.append(_QuotientPowers(grid, d, ell))
-    reports = []
-    for t in degrees:
-        best = None
-        for qp in quotients:
-            rep = _mult_map_from_quotient(grid, d, qp, t)
-            if best is None or rep.rank > best.rank:
-                best = rep
-            if best.maximal:
-                break
-        reports.append(best)
+    quotients = [_QuotientPowers(grid, d, ell) for ell in forms]
+    reports = [
+        best_map(_mult_map_from_quotient(grid, d, qp, t) for qp in quotients)
+        for t in degrees
+    ]
     failing = [rep.t for rep in reports if not rep.maximal]
     out = WlpReport(
         grid=grid,
@@ -283,41 +296,31 @@ def non_lefschetz_probe(
 ) -> NonLefschetzReport:
     """Compare ranks of x ell for ell sampled from a special locus against the
     generic ranks, at the degrees that decide the WLP."""
-    a = grid.a
-    stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
-    degs = critical_degrees(a, d)
+    stream = SeedStream.of(seed)
+    degs = critical_degrees(grid.a, d)
     if degs is None:
         degs = sweep_degrees(grid, d)
     else:
         degs = [t for t in degs if quotient_dim(grid, d, t) > 0 and t >= 1]
     gen_quotients = [
-        _QuotientPowers(grid, d, sample_form(grid, "generic", stream.child("form", k)))
-        for k in range(trials)
+        _QuotientPowers(grid, d, ell)
+        for ell in draw_forms(grid, "generic", stream.child("form"), trials)
     ]
     spec_quotients = [
-        _QuotientPowers(grid, d, sample_form(grid, locus, stream.child("locus-form", k)))
-        for k in range(trials)
+        _QuotientPowers(grid, d, ell)
+        for ell in draw_forms(grid, locus, stream.child("locus-form"), trials)
     ]
     entries = []
     for t in degs:
-        gen = _best_rank(grid, d, gen_quotients, t)
-        spe = _best_rank(grid, d, spec_quotients, t)
+        gen, spe = (
+            best_map(_mult_map_from_quotient(grid, d, qp, t) for qp in quotients)
+            for quotients in (gen_quotients, spec_quotients)
+        )
         entries.append(ProbeEntry(t=t, generic=gen, specialized=spe))
     member = any(not e.achieves_generic for e in entries)
     return NonLefschetzReport(
         grid=grid, d=d, locus=locus, entries=entries, member_of_locus=member
     )
-
-
-def _best_rank(grid, d, quotients, t) -> MultMapReport:
-    best = None
-    for qp in quotients:
-        rep = _mult_map_from_quotient(grid, d, qp, t)
-        if best is None or rep.rank > best.rank:
-            best = rep
-        if best.maximal:
-            break
-    return best
 
 
 def slp_power_map_report(grid: GridConfig, d: int, ell, k: int, t: int) -> MultMapReport:
@@ -333,18 +336,7 @@ def slp_power_map_report(grid: GridConfig, d: int, ell, k: int, t: int) -> MultM
         ellk = linear_power(ell, k, field)
         rows.append(shifted_products_matrix([ellk], t, field))
     union = rank(np.vstack(rows), field) if rows else 0
-    coker = n_t - union
-    rank_map = dim_to - coker
-    rep = MultMapReport(
-        t=t,
-        dim_from=dim_from,
-        dim_to=dim_to,
-        rank=rank_map,
-        kernel_dim=dim_from - rank_map,
-        coker_dim=coker,
-    )
-    rep.validate()
-    return rep
+    return MultMapReport.from_coker(t, dim_from, dim_to, n_t - union)
 
 
 def slp_probe(grid: GridConfig, d: int, k: int, trials: int = 3, seed=0xC0FFEE):
@@ -354,22 +346,12 @@ def slp_probe(grid: GridConfig, d: int, k: int, trials: int = 3, seed=0xC0FFEE):
         raise LefschetzError("k must be >= 1")
     if k == 1:
         return wlp_test(grid, d, trials, seed)
-    stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
-    tmax = 0
-    for t in sweep_degrees(grid, d):
-        tmax = t
-    reports = []
-    for t in range(k, tmax + 1):
-        best = None
-        for trial in range(trials):
-            ell = sample_form(grid, "generic", stream.child("slp-form", trial))
-            rep = slp_power_map_report(grid, d, ell, k, t)
-            if best is None or rep.rank > best.rank:
-                best = rep
-            if best.maximal:
-                break
-        reports.append(best)
-    return reports
+    forms = draw_forms(grid, "generic", SeedStream.of(seed).child("slp-form"), trials)
+    tmax = max(sweep_degrees(grid, d), default=0)
+    return [
+        best_map(slp_power_map_report(grid, d, ell, k, t) for ell in forms)
+        for t in range(k, tmax + 1)
+    ]
 
 
 @dataclass
@@ -401,7 +383,7 @@ class BxSequence:
 def bx_sequence(grid: GridConfig, dmax: int, trials: int = 3, seed=0xC0FFEE) -> BxSequence:
     if dmax < 1:
         raise LefschetzError("dmax must be >= 1")
-    stream = seed if isinstance(seed, SeedStream) else SeedStream(seed)
+    stream = SeedStream.of(seed)
     bits = []
     for d in range(1, dmax + 1):
         rep = wlp_test(grid, d, trials, stream.child("bx", d))

@@ -258,10 +258,6 @@ class SubspaceBasis:
     rref: np.ndarray
     dim: int
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.rref.shape[1]
-
 
 def subspace_from_rows(rows, ambient, field) -> SubspaceBasis:
     a = np.asarray(rows)

@@ -17,7 +17,7 @@ from .formulas import (
     compressed_gorenstein_hf,
     wlp_verdict_theorem_a,
 )
-from .geometry import make_grid, sample_form
+from .geometry import make_grid
 from .ideals import (
     PowersIdealSpec,
     ci_power_dim_formula,
@@ -31,7 +31,7 @@ from .ideals import (
     powers_ideal_dim,
     socle_dims,
 )
-from .lefschetz import mult_map_analysis, non_lefschetz_probe, wlp_test
+from .lefschetz import best_map, draw_forms, mult_map_analysis, non_lefschetz_probe, wlp_test
 from .polyspace import TOTAL3, dim_total, poly_mul, zero_poly
 
 
@@ -141,15 +141,11 @@ def check_coker_formula(field, stream, trials=3, a_max=5) -> CheckResult:
                 pred = coker_formula_geproci(a, a, d, t)
                 if pred is None:
                     continue
-                best = None
-                for trial in range(trials):
-                    ell = sample_form(grid, "generic", stream.child("ck", a, d, t, trial))
-                    rep = mult_map_analysis(grid, d, ell, d + t)
-                    if best is None or rep.coker_dim < best:
-                        best = rep.coker_dim
-                    if best == pred:
-                        break
-                c.expect(f"a={a} d={d} t={t} coker", best, pred)
+                forms = draw_forms(grid, "generic", stream.child("ck", a, d, t), trials)
+                best = best_map(
+                    (mult_map_analysis(grid, d, ell, d + t) for ell in forms), stop_coker=pred
+                )
+                c.expect(f"a={a} d={d} t={t} coker", best.coker_dim, pred)
     return c.done()
 
 

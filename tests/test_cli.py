@@ -131,6 +131,21 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coker", "--a", "3", "--b", "3", "--d", "3", "--t", "3"),
+        ("nll", "--a", "3", "--b", "3", "--d", "4", "--locus", "plane:1,1"),
+    ],
+    ids=["coker", "nll"],
+)
+def test_zero_trials_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--trials", "0")
+    assert code == 1
+    assert err == "error: trials must be >= 1\n"
+    assert "Traceback" not in err and out == ""
+
+
 def test_prime_guard_exit_code(capsys):
     code = main(["verify-paper", "--prime", "101"])
     assert code == 3

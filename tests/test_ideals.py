@@ -84,7 +84,22 @@ def test_powers_ideal_dim_matches_full_ring(field, shapes, d_max):
     for grid in grids:
         for d in range(1, d_max + 1):
             for t in range(0, 4 * (d - 1) + 3):
-                assert powers_ideal_dim(grid, d, t) == _full_ring_dim(grid, d, t), (grid.key(), d, t)
+                assert powers_ideal_dim(grid, d, t) == _full_ring_dim(grid, d, t), (grid, d, t)
+
+
+def test_powers_ideal_dim_cache_keys_on_grid_value(fp, qq):
+    # equal parameters over the same field share cache entries; the field is
+    # part of the key, so Q and F_p grids with equal parameters do not
+    u, v = [1, 2], [3, 5, 7]
+    g1, g2 = make_grid(2, 3, fp, u=u, v=v), make_grid(2, 3, fp, u=u, v=v)
+    others = (make_grid(2, 3, qq, u=u, v=v), make_grid(2, 3, PrimeField(10007), u=u, v=v))
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    assert all(g1 != g for g in others)
+    powers_ideal_dim(g1, 2, 3)
+    before = ideals._powers_dim_cached.cache_info()
+    powers_ideal_dim(g2, 2, 3)
+    after = ideals._powers_dim_cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_powers_ideal_dim_cap_guard_before_assembly(fp, monkeypatch):

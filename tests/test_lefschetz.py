@@ -15,7 +15,14 @@ from gridwlp import (
     wlp_test,
 )
 from gridwlp.ideals import PowersIdealSpec, shifted_products_matrix
-from gridwlp.lefschetz import LefschetzError, quotient_dim, sweep_degrees
+from gridwlp.lefschetz import (
+    LefschetzError,
+    MultMapReport,
+    best_map,
+    draw_forms,
+    quotient_dim,
+    sweep_degrees,
+)
 from gridwlp.linalg import subspace_from_rows
 from gridwlp.polyspace import TOTAL4, dim_total, linear_form
 
@@ -178,3 +185,76 @@ def test_bx_nonsquare_flags_conjectural_region(fp):
     assert seq.conjectural == [3, 4]
     data = json.loads(seq.to_json())
     assert data["conjectural_d"] == [3, 4]
+
+
+def _map(coker):
+    # x ell : A_2 -> A_3 with dims 10 -> 12; maximal means coker 2
+    return MultMapReport.from_coker(3, 10, 12, coker)
+
+
+def _pulled_up_to(items, log):
+    for rep in items:
+        log.append(rep)
+        yield rep
+    raise AssertionError("pulled past the last report")
+
+
+def test_best_map_stops_lazily_at_a_maximal_report():
+    for items in ([_map(2)], [_map(5), _map(3), _map(2)]):
+        log = []
+        assert best_map(_pulled_up_to(items, log)) is items[-1]
+        assert log == items and items[-1].maximal
+
+
+def test_best_map_keeps_the_first_of_equal_ranks():
+    first, second, higher = _map(4), _map(4), _map(3)
+    assert best_map([first, second]) is first
+    assert best_map([_map(5), first, higher, second, _map(3)]) is higher
+
+
+def test_best_map_stop_coker_is_tested_on_the_best_so_far():
+    items = [_map(5), _map(4), _map(3)]
+    log = []
+    assert best_map(_pulled_up_to(items, log), stop_coker=4) is items[1]
+    assert log == items[:2]
+    # a later report with the target cokernel but a lower rank does not stop
+    items = [_map(3), _map(4), _map(5)]
+    assert best_map(items, stop_coker=4) is items[0]
+
+
+def test_best_map_rejects_no_reports():
+    with pytest.raises(LefschetzError):
+        best_map([])
+    with pytest.raises(LefschetzError):
+        best_map(iter(()))
+
+
+def test_report_from_coker_validates():
+    rep = MultMapReport.from_coker(5, 20, 14, 1)
+    assert (rep.rank, rep.kernel_dim, rep.coker_dim) == (13, 7, 1)
+    assert not rep.maximal
+    with pytest.raises(AssertionError):
+        MultMapReport.from_coker(5, 4, 14, 1)  # rank 13 > dim_from
+
+
+@pytest.mark.parametrize(
+    "locus", ["generic", ("plane", 0, 0), ("chord", (0, 1), (1, 0))], ids=str
+)
+def test_draw_forms_matches_labelled_draws(grid33, locus):
+    stream = SeedStream(0xC0FFEE)
+    forms = draw_forms(grid33, locus, stream.child("form"), 4)
+    assert forms == [sample_form(grid33, locus, stream.child("form", k)) for k in range(4)]
+    assert len(set(forms)) == 4
+
+
+def test_zero_trials_rejected_everywhere(fp, grid33):
+    with pytest.raises(LefschetzError, match="trials must be >= 1"):
+        draw_forms(grid33, "generic", SeedStream(1), 0)
+    for call in (
+        lambda: wlp_test(grid33, 3, trials=0),
+        lambda: non_lefschetz_probe(grid33, 4, ("plane", 0, 0), trials=0),
+        lambda: slp_probe(grid33, 4, 2, trials=0),
+        lambda: bx_sequence(grid33, 2, trials=0),
+    ):
+        with pytest.raises(LefschetzError, match="trials must be >= 1"):
+            call()

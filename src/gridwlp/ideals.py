@@ -18,7 +18,7 @@ from .geometry import GridConfig
 from .linalg import (
     SubspaceBasis,
     _check_cap,
-    _matmul_modp,
+    _matmul,
     kernel_basis,
     rank,
     rref,
@@ -31,12 +31,15 @@ from .polyspace import (
     PolyVector,
     basis_index,
     basis_size,
+    check_power,
     dim_total,
     graded_basis,
     linear_power,
     poly_mul,
     vanishing_rows,
     _falling,
+    _shift_column_map,
+    _shift_degree,
 )
 
 
@@ -52,8 +55,7 @@ class PowersIdealSpec:
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("power d must be >= 1")
+        check_power(self.d)
 
 
 @dataclass(frozen=True)
@@ -89,33 +91,6 @@ def grid_bigraded_spec(grid: GridConfig, m: int) -> FatPointsSpec:
 
 # ---------------------------------------------------------------------------
 # spans of shifted products
-
-
-def _shift_degree(grading, src_deg, t):
-    """Degree of the shift monomials taking degree src_deg to t; None when
-    that degree is negative."""
-    if grading.kind == "total":
-        shift_deg = t - src_deg
-        return shift_deg if shift_deg >= 0 else None
-    shift_deg = (t[0] - src_deg[0], t[1] - src_deg[1])
-    return shift_deg if min(shift_deg) >= 0 else None
-
-
-@lru_cache(maxsize=256)
-def _shift_column_map(grading, src_deg, t) -> np.ndarray:
-    """Column indices of monomial * basis(src_deg) inside basis(t), one row
-    per shift monomial of degree t - src_deg."""
-    shifts = np.array(graded_basis(grading, _shift_degree(grading, src_deg, t)))
-    src_basis = np.array(graded_basis(grading, src_deg))
-    target = np.array(graded_basis(grading, t))
-    # exponent vectors as base-`radix` integers: no exponent of a product
-    # reaches radix, so the key of a product is the sum of the keys
-    radix = int(target.max()) + 1
-    weights = radix ** np.arange(grading.nvars)
-    target_keys = target @ weights
-    order = np.argsort(target_keys)
-    keys = (shifts @ weights)[:, None] + src_basis @ weights
-    return order[np.searchsorted(target_keys, keys, sorter=order)]
 
 
 @lru_cache(maxsize=256)
@@ -171,7 +146,6 @@ def power_generators(grid: GridConfig, d: int) -> list:
     ]
 
 
-@lru_cache(maxsize=128)
 def _normalised_generators(grid: GridConfig, d: int) -> list:
     """The generators other than the four corner ones, after the coordinate
     change A (x) B with A, B the Mobius maps (1, x) -> (x - x_2, x - x_1) on
@@ -195,30 +169,154 @@ def _normalised_generators(grid: GridConfig, d: int) -> list:
     ]
 
 
-@lru_cache(maxsize=None)
-def _powers_dim_cached(grid: GridConfig, d: int, t: int) -> int:
-    """dim[(x_1^d, ..., x_4^d)]_t plus the rank of the other normalised
-    generators in B_t, where B = R/(x_1^d, ..., x_4^d).
+# Degree t is descended once 4 a_(t-1) <= |B_t|: from there the descent
+# system, with 4 a_(t-1) columns and at most 4 |B_(t-1)| rows, is narrower
+# than the primal matrix, whose ab - 4 row blocks keep growing with t.
+_DUAL_SWITCH = 4
 
-    The frozen GridConfig is the cache key: it compares by value, its field
-    included, so a Q grid and an F_p grid with equal parameters differ."""
-    if t < d:
-        return 0
-    n_t = dim_total(4, t)
-    _check_cap(n_t)
-    field = grid.field
-    others = _normalised_generators(grid, d)
-    n_quot = int(_below_mask(TOTAL4, t, d).sum())
-    if others:
-        mat = shifted_products_matrix(others, t, field, below=d)
-    else:
-        mat = field.zeros((0, n_quot))
-    return n_t - n_quot + rank(mat, field)
+
+@lru_cache(maxsize=64)
+def _descent_index(d: int, t: int):
+    """Index tables of the descent from B^vee_(t-1) to B^vee_t, t > d.
+
+    A functional F on B_t is parametrised by its contractions x_i o F, which
+    are functionals on B_(t-1) with coordinates (x_i o F)_c = F_(c + e_i);
+    F_a is read from the contraction by x_i(a) at a - e_i(a), with i(a) the
+    first nonzero index of a. Returns (first, src, rows, lead, lead_col):
+    i(a) and the index of a - e_i(a) in B_(t-1), for every a in B_t, and one
+    constraint per row of `rows` = (i, c): (x_i o F)_c equals F_(c + e_i),
+    read from block lead at lead_col, or equals 0 where lead is -1 (c_i =
+    d - 1, so c + e_i is not in B_t). The rows with c_j = 0 for all j < i and
+    c_i < d - 1 hold by construction and are left out.
+    """
+    prev = np.array(graded_basis(TOTAL4, t - 1))[_below_mask(TOTAL4, t - 1, d)]
+    top = np.array(graded_basis(TOTAL4, t))[_below_mask(TOTAL4, t, d)]
+    # every exponent is below d, so base-d keys are distinct
+    weights = d ** np.arange(4)
+    keys = prev @ weights
+    order = np.argsort(keys)
+
+    def index(exps):
+        return order[np.searchsorted(keys, exps @ weights, sorter=order)]
+
+    unit = np.eye(4, dtype=np.int64)
+    first = np.argmax(top > 0, axis=1)
+    src = index(top - unit[first])
+    rows, lead, lead_col = [], [], []
+    for i in range(4):
+        c = prev[(prev[:, :i] > 0).any(axis=1) | (prev[:, i] == d - 1)]
+        inside = np.flatnonzero(c[:, i] < d - 1)
+        # there c has a nonzero exponent before i, and the first one is i(a)
+        # for a = c + e_i
+        j = np.full(len(c), -1)
+        j[inside] = np.argmax(c[inside] > 0, axis=1)
+        col = np.zeros(len(c), dtype=np.int64)
+        col[inside] = index(c[inside] + unit[i] - unit[j[inside]])
+        rows.append(np.stack([np.full(len(c), i), index(c)], axis=1))
+        lead.append(j)
+        lead_col.append(col)
+    return first, src, np.concatenate(rows), np.concatenate(lead), np.concatenate(lead_col)
+
+
+def _descend(basis: np.ndarray, d: int, t: int, field) -> np.ndarray:
+    """A basis of J^perp_t from a basis (rows) of J^perp_(t-1), for t > d.
+
+    J is generated in degree d, so F lies in J^perp_t exactly when every
+    contraction x_i o F lies in J^perp_(t-1), i.e. x_i o F = basis^T lam_i.
+    The constraints on lam = (lam_1, ..., lam_4) are gathered from the
+    columns of `basis`; their kernel, mapped back to F, is the new basis.
+    """
+    first, src, rows, lead, lead_col = _descent_index(d, t)
+    w = basis.shape[0]
+    cols = basis.T
+    system = field.zeros((rows.shape[0], 4, w))
+    system[np.arange(rows.shape[0]), rows[:, 0]] = cols[rows[:, 1]]
+    inside = np.flatnonzero(lead >= 0)
+    system[inside, lead[inside]] = field.neg(cols[lead_col[inside]])
+    lam = kernel_basis(system.reshape(rows.shape[0], 4 * w), field)
+    lam = lam.reshape(lam.shape[0], 4, w)
+    out = field.zeros((lam.shape[0], first.size))
+    for i in range(4):
+        at = np.flatnonzero(first == i)
+        out[:, at] = _matmul(lam[:, i], basis[:, src[at]], field)
+    return out
+
+
+class PowersHilbertTable:
+    """The Hilbert function a_t = dim A_t of A = R/I, I the powers ideal of
+    one grid and power d, computed degree by degree in the monomial-CI
+    quotient B = R/(x_1^d, ..., x_4^d): A = B/J, J generated by the other
+    normalised generators, and a_t = dim J^perp_t.
+
+    A degree t is ranked in the primal (a_t = |B_t| - rank of the
+    shifted-products matrix) unless a_(t-1) is known and
+    _DUAL_SWITCH * a_(t-1) <= |B_t|; then it is descended in the dual from a
+    basis of J^perp_(t-1), taken from the primal kernel at the switch. The
+    table keeps a_t of every degree it computed, only the dual basis the next
+    degree needs, and computes nothing past its first zero.
+    """
+
+    def __init__(self, grid: GridConfig, d: int):
+        check_power(d)
+        self.grid, self.d = grid, d
+        self.dims = {}  # t -> a_t, for t >= d
+        self.switch = None  # the first descended degree
+        self._gens = None
+        self._dual = None  # (t, basis of J^perp_t) for the last descended t
+        self._zero_from = None
+
+    def quotient_dim(self, t: int) -> int:
+        """a_t for t >= d, after the column-cap guard on R_t."""
+        _check_cap(dim_total(4, t))
+        if self._zero_from is not None and t >= self._zero_from:
+            return 0
+        if t not in self.dims:
+            prev = self.dims.get(t - 1)
+            size = int(_below_mask(TOTAL4, t, self.d).sum())
+            if prev is not None and _DUAL_SWITCH * prev <= size:
+                self.dims[t] = self._descend_to(t)
+            else:
+                self.dims[t] = size - rank(self._primal(t), self.grid.field)
+            if self.dims[t] == 0:
+                # every monomial of B_t' for t' > t is a multiple of one in
+                # B_t, so J_t = B_t gives J_t' = B_t'
+                self._zero_from, self._dual = t, None
+        return self.dims[t]
+
+    def _primal(self, t: int) -> np.ndarray:
+        if self._gens is None:
+            self._gens = _normalised_generators(self.grid, self.d)
+        if self._gens:
+            return shifted_products_matrix(self._gens, t, self.grid.field, below=self.d)
+        return self.grid.field.zeros((0, int(_below_mask(TOTAL4, t, self.d).sum())))
+
+    def _descend_to(self, t: int) -> int:
+        field = self.grid.field
+        if self._dual is not None and self._dual[0] == t - 1:
+            basis = self._dual[1]
+        else:
+            basis = kernel_basis(self._primal(t - 1), field)
+            if self.switch is None:
+                self.switch = t
+        self._dual = (t, _descend(basis, self.d, t, field))
+        return self._dual[1].shape[0]
+
+
+@lru_cache(maxsize=64)
+def _powers_table(grid: GridConfig, d: int) -> PowersHilbertTable:
+    """The Hilbert table of one (grid, d). The frozen GridConfig is part of
+    the key: it compares by value, its field included, so a Q grid and an F_p
+    grid with equal parameters differ."""
+    return PowersHilbertTable(grid, d)
 
 
 def powers_ideal_dim(grid: GridConfig, d: int, t: int) -> int:
-    """dim of the degree-t piece of the powers ideal (fast, cached)."""
-    return _powers_dim_cached(grid, d, t)
+    """dim of the degree-t piece of the powers ideal, read from the table of
+    (grid, d)."""
+    table = _powers_table(grid, d)
+    if t < d:
+        return 0
+    return dim_total(4, t) - table.quotient_dim(t)
 
 
 def powers_ideal_piece(spec: PowersIdealSpec, t: int) -> SubspaceBasis:
@@ -506,11 +604,7 @@ def _reduce_columns_against(mat: np.ndarray, rref_rows: np.ndarray, piv: list, f
     """Reduce every column of mat modulo the row space of rref_rows."""
     if rref_rows.shape[0] == 0:
         return mat
-    sel = mat[piv, :]
-    if field.rational:
-        return mat - rref_rows.T @ sel
-    corr = _matmul_modp(rref_rows.T, sel, field.p)
-    return (mat - corr.astype(np.int64)) % field.p
+    return field.sub(mat, _matmul(rref_rows.T, mat[piv, :], field))
 
 
 def macaulay_dual_check(grid: GridConfig, d: int, t: int):

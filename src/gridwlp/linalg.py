@@ -90,6 +90,13 @@ def _matmul_modp(x, y, p: int) -> np.ndarray:
     return _mod(z, p)
 
 
+def _matmul(x, y, field) -> np.ndarray:
+    """x @ y over the field: int64 residues over F_p, Fractions over Q."""
+    if field.rational:
+        return x @ y
+    return _matmul_modp(x, y, field.p).astype(np.int64)
+
+
 def _residues(matrix, p: int) -> np.ndarray:
     """Canonical residues of an integer matrix, as a C-ordered float64 copy."""
     a = np.asarray(matrix, dtype=np.int64)

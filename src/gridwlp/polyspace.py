@@ -141,26 +141,62 @@ def _add_degrees(grading: Grading, d1, d2):
     return (d1[0] + d2[0], d1[1] + d2[1])
 
 
+def _shift_degree(grading: Grading, src_deg, t):
+    """Degree of the shift monomials taking degree src_deg to t; None when
+    that degree is negative."""
+    if grading.kind == "total":
+        shift_deg = t - src_deg
+        return shift_deg if shift_deg >= 0 else None
+    shift_deg = (t[0] - src_deg[0], t[1] - src_deg[1])
+    return shift_deg if min(shift_deg) >= 0 else None
+
+
+@lru_cache(maxsize=256)
+def _shift_column_map(grading: Grading, src_deg, t) -> np.ndarray:
+    """Column indices of monomial * basis(src_deg) inside basis(t), one row
+    per shift monomial of degree t - src_deg."""
+    shifts = np.array(graded_basis(grading, _shift_degree(grading, src_deg, t)))
+    src_basis = np.array(graded_basis(grading, src_deg))
+    target = np.array(graded_basis(grading, t))
+    # exponent vectors as base-`radix` integers: no exponent of a product
+    # reaches radix, so the key of a product is the sum of the keys
+    radix = int(target.max()) + 1
+    weights = radix ** np.arange(grading.nvars)
+    target_keys = target @ weights
+    order = np.argsort(target_keys)
+    keys = (shifts @ weights)[:, None] + src_basis @ weights
+    return order[np.searchsorted(target_keys, keys, sorter=order)]
+
+
 def poly_mul(f: PolyVector, g: PolyVector) -> PolyVector:
-    """Product; degree adds, coefficients are the convolution."""
+    """Product; degree adds, coefficients are the convolution: the outer
+    product of the coefficients scattered into the target basis."""
     if f.grading != g.grading:
         raise GradingMismatchError("poly_mul: grading mismatch")
     field = f.field
     deg = _add_degrees(f.grading, f.degree, g.degree)
     out = zero_poly(f.grading, deg, field)
-    idx = basis_index(f.grading, deg)
-    for mono_f, cf in f.terms():
-        for mono_g, cg in g.terms():
-            target = tuple(a + b for a, b in zip(mono_f, mono_g))
-            j = idx[target]
-            out.coeffs[j] = field.add(out.coeffs[j], field.mul(cf, cg))
+    dtype = object if field.rational else np.int64
+    prods = np.multiply.outer(np.asarray(f.coeffs, dtype), np.asarray(g.coeffs, dtype))
+    if not field.rational:
+        # each product is below p^2 < 2^62; a sum of n residues is below
+        # n * 2^31 < 2^63
+        prods %= field.p
+    np.add.at(out.coeffs, _shift_column_map(f.grading, g.degree, deg), prods)
+    if not field.rational:
+        out.coeffs %= field.p
     return out
+
+
+def check_power(d: int):
+    """The power d of the linear forms is at least 1."""
+    if d < 1:
+        raise ValueError("power d must be >= 1")
 
 
 def linear_power(coeffs, d: int, field, grading: Grading = TOTAL4) -> PolyVector:
     """Multinomial expansion of (sum_i coeffs_i x_i)^d."""
-    if d <= 0:
-        raise ValueError("linear_power needs d >= 1")
+    check_power(d)
     vals = [field.normalize(c) for c in coeffs]
     if not any(v != 0 for v in vals):
         raise ValueError("zero linear form")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,36 @@ def test_zero_trials_is_a_usage_error(capsys, argv):
     assert code == 1
     assert err == "error: trials must be >= 1\n"
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wlp", "--a", "3", "--b", "3"),
+        ("coker", "--a", "3", "--b", "3", "--t", "3"),
+        ("nll", "--a", "3", "--b", "3", "--locus", "generic"),
+    ],
+    ids=["wlp", "coker", "nll"],
+)
+def test_zero_power_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--d", "0")
+    assert code == 1
+    assert err == "error: power d must be >= 1\n"
+    assert "Traceback" not in err and out == ""
+
+
+def test_module_entry_point(capsys):
+    argv = ("wlp", "--a", "3", "--b", "3", "--d", "2", "--format", "json")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridwlp", *argv],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and proc.stdout == out
+    assert json.loads(out)["verdict"] is True
 
 
 def test_prime_guard_exit_code(capsys):

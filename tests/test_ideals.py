@@ -33,7 +33,7 @@ from gridwlp.ideals import (
     power_generators,
     shifted_products_matrix,
 )
-from gridwlp.linalg import rank
+from gridwlp.linalg import rank, rref
 from gridwlp.polyspace import (
     BIGRADED,
     TOTAL3,
@@ -88,18 +88,77 @@ def test_powers_ideal_dim_matches_full_ring(field, shapes, d_max):
 
 
 def test_powers_ideal_dim_cache_keys_on_grid_value(fp, qq):
-    # equal parameters over the same field share cache entries; the field is
-    # part of the key, so Q and F_p grids with equal parameters do not
+    # equal parameters over the same field share one Hilbert table; the field
+    # is part of the key, so Q and F_p grids with equal parameters do not
     u, v = [1, 2], [3, 5, 7]
     g1, g2 = make_grid(2, 3, fp, u=u, v=v), make_grid(2, 3, fp, u=u, v=v)
     others = (make_grid(2, 3, qq, u=u, v=v), make_grid(2, 3, PrimeField(10007), u=u, v=v))
     assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
     assert all(g1 != g for g in others)
     powers_ideal_dim(g1, 2, 3)
-    before = ideals._powers_dim_cached.cache_info()
+    before = ideals._powers_table.cache_info()
     powers_ideal_dim(g2, 2, 3)
-    after = ideals._powers_dim_cached.cache_info()
+    after = ideals._powers_table.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    table = ideals._powers_table(g2, 2)
+    assert 3 in table.dims
+    assert all(ideals._powers_table(g, 2) is not table for g in others)
+
+
+def _primal_matrix(grid, d, t):
+    return shifted_products_matrix(ideals._normalised_generators(grid, d), t, grid.field, below=d)
+
+
+def _primal_kernel(grid, d, t):
+    # a basis of J^perp_t
+    return linalg.kernel_basis(_primal_matrix(grid, d, t), grid.field)
+
+
+@pytest.mark.parametrize(
+    "field, d_values",
+    [
+        (PrimeField(), (2, 3, 4)),
+        (PrimeField(10007), (2, 3, 4)),
+        (PrimeField(101), (2, 3, 4)),
+        (PrimeField(31), (2, 3, 4)),
+        (RationalField(), (2, 3)),
+    ],
+    ids=["p2^31-1", "p10007", "p101", "p31", "QQ"],
+)
+def test_descent_step_matches_primal_kernel(field, d_values):
+    # one descent step from the primal kernel at every t - 1 >= d: each
+    # degree is a possible switch point of the table
+    for k, (a, b) in enumerate([(2, 3), (3, 3), (3, 4), (4, 4), (3, 6)]):
+        grid = make_grid(a, b, field, seed=SeedStream(80 + k))
+        for d in d_values:
+            for t in range(d + 1, 4 * (d - 1) + 2):
+                down = ideals._descend(_primal_kernel(grid, d, t - 1), d, t, field)
+                expect = _primal_kernel(grid, d, t)
+                got_rref, want_rref = rref(down, field)[0], rref(expect, field)[0]
+                assert got_rref.shape == want_rref.shape, (a, b, d, t)
+                assert np.array_equal(got_rref, want_rref), (a, b, d, t)
+
+
+def test_hilbert_table_sweep_matches_primal_rank(fp):
+    # a fresh table over a full 5x5, d=8 sweep: primal degrees, the switch
+    # and the descended tail against the primal rank in every degree
+    grid = make_grid(5, 5, fp, seed=SeedStream(90))
+    d = 8
+    table = ideals.PowersHilbertTable(grid, d)
+    for t in range(d, 4 * (d - 1) + 2):
+        mat = _primal_matrix(grid, d, t)
+        assert table.quotient_dim(t) == mat.shape[1] - rank(mat, fp), t
+    switch = table.switch
+    assert d < switch < 4 * (d - 1)
+    assert table.dims[switch - 1] * ideals._DUAL_SWITCH <= _primal_matrix(grid, d, switch).shape[1]
+
+
+def test_hilbert_table_rejects_power_zero(fp, grid33):
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="power d must be >= 1"):
+            ideals.PowersHilbertTable(grid33, d)
+        with pytest.raises(ValueError, match="power d must be >= 1"):
+            powers_ideal_dim(grid33, d, 2)
 
 
 def test_powers_ideal_dim_cap_guard_before_assembly(fp, monkeypatch):

@@ -22,6 +22,7 @@ from gridwlp.linalg import rank
 from gridwlp.polyspace import (
     GradingMismatchError,
     _falling,
+    basis_index,
     basis_size,
     condition_multiindices,
     poly_from_terms,
@@ -251,3 +252,47 @@ def test_vanishing_rows_matches_pointwise_build(field, m):
             assert got.dtype == expect.dtype and np.array_equal(got, expect), (grading, degree)
             if field.rational:
                 assert all(type(x) is type(y) for x, y in zip(got.ravel(), expect.ravel()))
+
+
+def _slow_poly_mul(f, g):
+    # the term-by-term convolution, one field operation at a time
+    field = f.field
+    deg = f.degree + g.degree if f.grading.kind == "total" else tuple(
+        x + y for x, y in zip(f.degree, g.degree)
+    )
+    out = zero_poly(f.grading, deg, field)
+    idx = basis_index(f.grading, deg)
+    for mono_f, cf in f.terms():
+        for mono_g, cg in g.terms():
+            j = idx[tuple(a + b for a, b in zip(mono_f, mono_g))]
+            out.coeffs[j] = field.add(out.coeffs[j], field.mul(cf, cg))
+    return out
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(), PrimeField(31), RationalField()], ids=["p2^31-1", "p31", "QQ"]
+)
+@pytest.mark.parametrize(
+    "grading, deg_f, deg_g",
+    [
+        (TOTAL3, 0, 3), (TOTAL3, 3, 4), (TOTAL3, 6, 6),
+        (TOTAL4, 1, 1), (TOTAL4, 2, 5), (TOTAL4, 4, 4),
+        (BIGRADED, (0, 1), (2, 0)), (BIGRADED, (1, 2), (3, 1)), (BIGRADED, (2, 2), (2, 3)),
+    ],
+)
+def test_poly_mul_matches_term_loop(field, grading, deg_f, deg_g):
+    s = SeedStream(41)
+    f, g = zero_poly(grading, deg_f, field), zero_poly(grading, deg_g, field)
+    for k, poly in enumerate((f, g)):
+        draws = s.child(k)
+        for i in range(len(poly.coeffs)):
+            # about a third of the coefficients stay zero
+            if draws.below(3):
+                poly.coeffs[i] = draws.scalar(field)
+    prod = poly_mul(f, g)
+    slow = _slow_poly_mul(f, g)
+    assert (prod.grading, prod.degree) == (slow.grading, slow.degree)
+    assert list(prod.coeffs) == list(slow.coeffs)
+    if not field.rational:
+        assert prod.coeffs.dtype == np.int64
+        assert prod.coeffs.min(initial=0) >= 0 and prod.coeffs.max(initial=0) < field.p

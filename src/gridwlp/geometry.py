@@ -345,7 +345,7 @@ def plane_points_hf(points, t: int, field) -> int:
     return rank(vanishing_rows(TOTAL3, t, points, 1, field), field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def ci_plane_hf(a: int, b: int, t: int) -> int:
     """Hilbert function of a complete intersection of type (a,b) in P^2."""
     if t < 0:

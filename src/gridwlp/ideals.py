@@ -18,10 +18,10 @@ from .geometry import GridConfig
 from .linalg import (
     SubspaceBasis,
     _check_cap,
+    _identity,
     _matmul,
     kernel_basis,
     rank,
-    rref,
     subspace_from_rows,
 )
 from .polyspace import (
@@ -34,6 +34,7 @@ from .polyspace import (
     check_power,
     dim_total,
     graded_basis,
+    linear_form,
     linear_power,
     poly_mul,
     vanishing_rows,
@@ -100,6 +101,19 @@ def _below_mask(grading, degree, e: int) -> np.ndarray:
     return np.asarray(graded_basis(grading, degree)).max(axis=1) < e
 
 
+def _shift_columns(grading, src_deg, t, below=None) -> np.ndarray:
+    """_shift_column_map, or with below=e its restriction to the quotient by
+    (x_1^e, ..., x_n^e): one row per shift whose exponents are all < e, and
+    the column of each product in that quotient's piece of degree t, -1 where
+    the product lies in the monomial ideal."""
+    colmap = _shift_column_map(grading, src_deg, t)
+    if below is None:
+        return colmap
+    keep = _below_mask(grading, t, below)
+    new_col = np.where(keep, np.cumsum(keep) - 1, -1)
+    return new_col[colmap[_below_mask(grading, _shift_degree(grading, src_deg, t), below)]]
+
+
 def shifted_products_matrix(polys, t, field, below=None) -> np.ndarray:
     """Rows spanning { m * f : f in polys, m a monomial of degree t - deg f }
     inside the degree-t piece. Row order: poly-major, then shift monomial.
@@ -111,22 +125,14 @@ def shifted_products_matrix(polys, t, field, below=None) -> np.ndarray:
     if not polys:
         raise ValueError("no polynomials given")
     grading = polys[0].grading
-    if below is None:
-        n_t = basis_size(grading, t)
-    else:
-        keep = _below_mask(grading, t, below)
-        n_t = int(keep.sum())
-        new_col = np.where(keep, np.cumsum(keep) - 1, -1)
+    n_t = basis_size(grading, t) if below is None else int(_below_mask(grading, t, below).sum())
     blocks = []
     for f in polys:
         if f.grading != grading:
             raise ValueError("mixed gradings")
-        shift_deg = _shift_degree(grading, f.degree, t)
-        if shift_deg is None:
+        if _shift_degree(grading, f.degree, t) is None:
             continue
-        colmap = _shift_column_map(grading, f.degree, t)
-        if below is not None:
-            colmap = new_col[colmap[_below_mask(grading, shift_deg, below)]]
+        colmap = _shift_columns(grading, f.degree, t, below)
         rows, cols = np.nonzero(colmap >= 0)
         block = field.zeros((colmap.shape[0], n_t))
         block[rows, colmap[rows, cols]] = np.asarray(f.coeffs)[cols]
@@ -146,25 +152,27 @@ def power_generators(grid: GridConfig, d: int) -> list:
     ]
 
 
-def _normalised_generators(grid: GridConfig, d: int) -> list:
-    """The generators other than the four corner ones, after the coordinate
-    change A (x) B with A, B the Mobius maps (1, x) -> (x - x_2, x - x_1) on
-    the u and v parameters.
-
-    The change sends u_1, v_1 to 0 and u_2, v_2 to infinity, so the grid point
-    kron((1, u), (1, v)) of the corners (i, j < 2) becomes a multiple of a
-    coordinate point and their powers generate (x_1^d, ..., x_4^d). The
-    substitution is linear and invertible, so dim[I]_t does not change.
-    """
+def _b_coordinates(grid: GridConfig, coeffs) -> tuple:
+    """The linear form sum_i c_i x_i in B's coordinates: (M_u (x) M_v) c,
+    with M_x = [[-x_2, 1], [-x_1, 1]] the Mobius map (1, x) -> (x - x_2,
+    x - x_1) of a ruling's first two parameters, which sends the dual forms
+    kron((1, u), (1, v)) of the four corner points to coordinate forms. The
+    substitution is invertible: it carries R/I to R/I', and x ell to x ell'."""
     f = grid.field
+    c = [f.normalize(x) for x in coeffs]
+    # C[p][q] = c_(2p+q) goes to M_u C M_v^T; row r of M_x is (-x_(2-r), 1)
+    cm = [[f.sub(c[2 * p + 1], f.mul(y, c[2 * p])) for p in range(2)] for y in grid.v[1::-1]]
+    return tuple(f.sub(cm[s][1], f.mul(x, cm[s][0])) for x in grid.u[1::-1] for s in range(2))
 
-    def mobius(params):
-        return [(f.sub(x, params[1]), f.sub(x, params[0])) for x in params]
 
+def _normalised_generators(grid: GridConfig, d: int) -> list:
+    """The d-th powers of the dual forms other than the four corner ones, in
+    B's coordinates (see _b_coordinates). The corner powers generate
+    (x_1^d, ..., x_4^d), and dim[I]_t does not change."""
     return [
-        linear_power((f.mul(a0, b0), f.mul(a0, b1), f.mul(a1, b0), f.mul(a1, b1)), d, f)
-        for i, (a0, a1) in enumerate(mobius(grid.u))
-        for j, (b0, b1) in enumerate(mobius(grid.v))
+        linear_power(_b_coordinates(grid, grid.dual_form_coeffs(i, j)), d, grid.field)
+        for i in range(grid.a)
+        for j in range(grid.b)
         if i >= 2 or j >= 2
     ]
 
@@ -248,13 +256,18 @@ class PowersHilbertTable:
     quotient B = R/(x_1^d, ..., x_4^d): A = B/J, J generated by the other
     normalised generators, and a_t = dim J^perp_t.
 
-    A degree t is ranked in the primal (a_t = |B_t| - rank of the
-    shifted-products matrix) unless a_(t-1) is known and
-    _DUAL_SWITCH * a_(t-1) <= |B_t|; then it is descended in the dual from a
-    basis of J^perp_(t-1), taken from the primal kernel at the switch. The
-    table keeps a_t of every degree it computed, only the dual basis the next
-    degree needs, and computes nothing past its first zero.
+    `basis(t)` is a basis of J^perp_t: the identity below d, descended in the
+    dual from the basis at t - 1 once a_(t-1) is known and
+    _DUAL_SWITCH * a_(t-1) <= |B_t|, else the kernel of the primal
+    shifted-products matrix. The table keeps a_t of every degree t >= d it
+    computed and computes nothing past its first zero. The last basis serves
+    the next degree and repeated requests, and only it is kept: of all the
+    tables, one keeps a basis at a time.
     """
+
+    # the one table that keeps a basis: up to 64 tables are cached, and a
+    # basis in each would pin them all in memory
+    _holder = None
 
     def __init__(self, grid: GridConfig, d: int):
         check_power(d)
@@ -262,44 +275,79 @@ class PowersHilbertTable:
         self.dims = {}  # t -> a_t, for t >= d
         self.switch = None  # the first descended degree
         self._gens = None
-        self._dual = None  # (t, basis of J^perp_t) for the last descended t
+        self._kept = None  # (t, basis of J^perp_t) for the last basis computed
         self._zero_from = None
 
     def quotient_dim(self, t: int) -> int:
-        """a_t for t >= d, after the column-cap guard on R_t."""
+        """a_t for every t; from d on, after the column-cap guard on R_t."""
+        if t < self.d:
+            return dim_total(4, t)  # 0 for t < 0
         _check_cap(dim_total(4, t))
-        if self._zero_from is not None and t >= self._zero_from:
+        if self._is_zero(t):
             return 0
         if t not in self.dims:
-            prev = self.dims.get(t - 1)
-            size = int(_below_mask(TOTAL4, t, self.d).sum())
-            if prev is not None and _DUAL_SWITCH * prev <= size:
-                self.dims[t] = self._descend_to(t)
-            else:
-                self.dims[t] = size - rank(self._primal(t), self.grid.field)
-            if self.dims[t] == 0:
-                # every monomial of B_t' for t' > t is a multiple of one in
-                # B_t, so J_t = B_t gives J_t' = B_t'
-                self._zero_from, self._dual = t, None
+            self.basis(t)
         return self.dims[t]
+
+    def basis(self, t: int) -> np.ndarray:
+        """A basis (rows) of J^perp_t, t >= 0, in the monomial basis of B_t,
+        after the column-cap guard on R_t. Asked for again, the last basis is
+        returned as it is; walking up by degree computes each basis once."""
+        _check_cap(dim_total(4, t))
+        if self._kept is not None and self._kept[0] == t:
+            return self._kept[1]
+        field = self.grid.field
+        if self._is_zero(t):
+            return field.zeros((0, self._size(t)))
+        descend = self._descends(t)
+        prev = self.basis(t - 1) if descend else None
+        # from here on no kept basis, in any table, is needed but prev
+        holder = PowersHilbertTable._holder
+        if holder is not None:
+            holder._kept = None
+        if t < self.d:
+            basis = _identity(dim_total(4, t), field)
+        elif descend:
+            basis = _descend(prev, self.d, t, field)
+            if self.switch is None:
+                self.switch = t
+        else:
+            basis = kernel_basis(self._primal(t), field)
+        if t >= self.d:
+            self.dims[t] = basis.shape[0]
+            if basis.shape[0] == 0:
+                self._zero_from = t
+        PowersHilbertTable._holder = self
+        self._kept = (t, basis)
+        return basis
+
+    def sweep(self):
+        """The degrees t >= 1 with a_t > 0, in order. From d on, each basis
+        is computed once, and is the one kept while its degree is yielded."""
+        yield from range(1, self.d)
+        t = self.d
+        while self.basis(t).shape[0] > 0:
+            yield t
+            t += 1
+
+    def _is_zero(self, t: int) -> bool:
+        # every monomial of B_t' for t' > t is a multiple of one in B_t, so
+        # J_t = B_t gives J_t' = B_t'
+        return self._zero_from is not None and t >= self._zero_from
+
+    def _descends(self, t: int) -> bool:
+        prev = self.dims.get(t - 1)
+        return t > self.d and prev is not None and _DUAL_SWITCH * prev <= self._size(t)
+
+    def _size(self, t: int) -> int:
+        return int(_below_mask(TOTAL4, t, self.d).sum())
 
     def _primal(self, t: int) -> np.ndarray:
         if self._gens is None:
             self._gens = _normalised_generators(self.grid, self.d)
         if self._gens:
             return shifted_products_matrix(self._gens, t, self.grid.field, below=self.d)
-        return self.grid.field.zeros((0, int(_below_mask(TOTAL4, t, self.d).sum())))
-
-    def _descend_to(self, t: int) -> int:
-        field = self.grid.field
-        if self._dual is not None and self._dual[0] == t - 1:
-            basis = self._dual[1]
-        else:
-            basis = kernel_basis(self._primal(t - 1), field)
-            if self.switch is None:
-                self.switch = t
-        self._dual = (t, _descend(basis, self.d, t, field))
-        return self._dual[1].shape[0]
+        return self.grid.field.zeros((0, self._size(t)))
 
 
 @lru_cache(maxsize=64)
@@ -313,10 +361,35 @@ def _powers_table(grid: GridConfig, d: int) -> PowersHilbertTable:
 def powers_ideal_dim(grid: GridConfig, d: int, t: int) -> int:
     """dim of the degree-t piece of the powers ideal, read from the table of
     (grid, d)."""
-    table = _powers_table(grid, d)
-    if t < d:
-        return 0
-    return dim_total(4, t) - table.quotient_dim(t)
+    return dim_total(4, t) - _powers_table(grid, d).quotient_dim(t)
+
+
+def _contraction(table: PowersHilbertTable, form: PolyVector, t: int) -> np.ndarray:
+    """Rows (form o F)_c = sum_m form_m F_(c + m), c in B_(t-k), k = deg
+    form, for the rows F of the table's basis of J^perp_t; F_(c + m) is 0
+    where c + m is not in B. Contraction is the transpose of multiplication,
+    and B_(t-k) maps onto A_(t-k): the rank is that of x form on A_(t-k)."""
+    basis, field, k = table.basis(t), table.grid.field, form.degree
+    if t < k:
+        return field.zeros((basis.shape[0], 0))
+    colmap = _shift_columns(TOTAL4, k, t, table.d)
+    out = field.zeros((basis.shape[0], colmap.shape[0]))
+    if basis.shape[0] == 0:
+        return out
+    coeffs = np.asarray(form.coeffs)
+    for m in np.flatnonzero(coeffs != 0):
+        col = colmap[:, m]
+        # over F_p each product is below p^2 < 2^62, and a sum of n residues
+        # below n * 2^31
+        term = basis[:, np.maximum(col, 0)]
+        term *= coeffs[m]
+        if not field.rational:
+            term %= field.p
+        term[:, col < 0] = field.zero
+        out += term
+    if not field.rational:
+        out %= field.p
+    return out
 
 
 def powers_ideal_piece(spec: PowersIdealSpec, t: int) -> SubspaceBasis:
@@ -459,8 +532,6 @@ def perp_piece(f: PolyVector, s: int) -> SubspaceBasis:
         raise ValueError("degree must be >= 0")
     n_s = basis_size(f.grading, s)
     if s > f.degree:
-        from .linalg import _identity
-
         return SubspaceBasis((f.grading, s), _identity(n_s, field), n_s)
     ker = kernel_basis(contraction_matrix(f, s), field)
     return SubspaceBasis((f.grading, s), ker, ker.shape[0])
@@ -558,53 +629,19 @@ def hilbert_table(spec, t_range=None, field=None) -> HilbertTable:
     raise TypeError(f"unsupported spec {type(spec).__name__}")
 
 
-def _shift_matrix(grading, t: int, var: int, field) -> np.ndarray:
-    """Multiplication by x_var from degree t to t+1 on monomial bases."""
-    src = graded_basis(grading, t)
-    idx = basis_index(grading, t + 1)
-    mat = field.zeros((basis_size(grading, t + 1), len(src)))
-    for c, mono in enumerate(src):
-        target = list(mono)
-        target[var] += 1
-        mat[idx[tuple(target)], c] = field.one
-    return mat
-
-
 def socle_dims(spec: PowersIdealSpec, t_range) -> dict:
-    """Dimension of ker(A_t -> A_{t+1}^4) under multiplication by each
-    variable, for A the quotient by the powers ideal."""
-    grid, d = spec.grid, spec.d
-    field = grid.field
+    """Dimension of ker(A_t -> A_(t+1)^4), f |-> (x_i f)_i, for A the quotient
+    by the powers ideal: a_t minus the rank of B_t -> A_(t+1)^4, whose
+    transpose stacks the contractions x_i o J^perp_(t+1). The socle does not
+    depend on coordinates, so B's variables serve."""
+    field = spec.grid.field
+    table = _powers_table(spec.grid, spec.d)
+    variables = [linear_form([int(i == j) for j in range(4)], field) for i in range(4)]
     out = {}
     for t in t_range:
-        basis_t1 = powers_ideal_piece(spec, t + 1)
-        lam_t = powers_ideal_dim(grid, d, t)
-        n_t1 = basis_size(TOTAL4, t + 1)
-        if basis_t1.dim == n_t1:
-            # everything multiplies into the ideal
-            out[t] = dim_total(4, t) - lam_t
-            continue
-        stacked = []
-        red, piv = basis_t1.rref, _pivots_of_rref(basis_t1.rref)
-        for var in range(4):
-            shift = _shift_matrix(TOTAL4, t, var, field)
-            stacked.append(_reduce_columns_against(shift, red, piv, field))
-        big = np.vstack(stacked)
-        w = big.shape[1] - rank(big, field)
-        out[t] = w - lam_t
+        image = np.vstack([_contraction(table, x, t + 1) for x in variables])
+        out[t] = table.quotient_dim(t) - rank(image, field)
     return out
-
-
-def _pivots_of_rref(r: np.ndarray) -> list:
-    # first nonzero column of each row; `!= 0` is boolean on object arrays too
-    return np.argmax(r != 0, axis=1).tolist()
-
-
-def _reduce_columns_against(mat: np.ndarray, rref_rows: np.ndarray, piv: list, field) -> np.ndarray:
-    """Reduce every column of mat modulo the row space of rref_rows."""
-    if rref_rows.shape[0] == 0:
-        return mat
-    return field.sub(mat, _matmul(rref_rows.T, mat[piv, :], field))
 
 
 def macaulay_dual_check(grid: GridConfig, d: int, t: int):

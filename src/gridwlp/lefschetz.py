@@ -2,10 +2,11 @@
 rank/kernel/cokernel reports, WLP verdicts with a genericity protocol,
 non-Lefschetz locus probes, strong-Lefschetz probes, and B_X bit sequences.
 
-The cokernel of x ell : A_(t-1) -> A_t is measured as the codimension of the
-image of the ideal in the 3-variable quotient ring R/(ell); that codimension
-equals dim R_t - dim([I]_t + ell*R_(t-1)) for every nonzero ell by rank
-counting, and the package cross-checks the two routes in its test suite.
+Every map x ell^k : A_(t-k) -> A_t is measured in the ring B of the Hilbert
+table (ideals.PowersHilbertTable): ell goes into B's coordinates, and the rank
+is that of the contraction ell^k o J^perp_t, read from the table's basis of
+the inverse system J^perp_t. The test suite checks it against the full-ring
+count dim R_t - dim([I]_t + ell^k R_(t-k)).
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .field import SeedStream
 from .geometry import GridConfig, sample_form
-from .ideals import powers_ideal_dim, power_generators, shifted_products_matrix
+from .ideals import _b_coordinates, _contraction, _powers_table
 from .linalg import rank
-from .polyspace import TOTAL3, basis_size, dim_total, linear_power
+from .polyspace import PolyVector, linear_power
 
 
 class LefschetzError(ValueError):
@@ -123,73 +122,46 @@ class WlpReport:
         )
 
 
-def _reduce_form_mod_ell(coeffs, ell, field):
-    """Image of a linear form in the 3-variable ring R/(ell)."""
-    piv = next(i for i in range(4) if ell[i] != 0)
-    factor = field.div(coeffs[piv], ell[piv])
-    return [
-        field.sub(coeffs[i], field.mul(factor, ell[i])) for i in range(4) if i != piv
-    ]
+def _power_in_b(grid: GridConfig, ell, k: int) -> PolyVector:
+    """ell^k in B's coordinates, for ell not dual to a grid point."""
+    field = grid.field
+    ell = [field.normalize(c) for c in ell]
+    if all(c == 0 for c in ell):
+        raise LefschetzError("ell must be nonzero")
+    if grid.is_grid_point(ell):
+        raise LefschetzError("ell is dual to a grid point")
+    return linear_power(_b_coordinates(grid, ell), k, field)
 
 
-class _QuotientPowers:
-    """Powers of the dual forms reduced mod ell, with per-degree span ranks."""
-
-    def __init__(self, grid: GridConfig, d: int, ell):
-        field = grid.field
-        ell = [field.normalize(c) for c in ell]
-        if all(c == 0 for c in ell):
-            raise LefschetzError("ell must be nonzero")
-        self.field = field
-        self.d = d
-        reduced = []
-        for i in range(grid.a):
-            for j in range(grid.b):
-                bar = _reduce_form_mod_ell(grid.dual_form_coeffs(i, j), ell, field)
-                if all(c == 0 for c in bar):
-                    # the sampled point coincides with a grid point
-                    raise LefschetzError("ell is dual to a grid point")
-                reduced.append(bar)
-        self.powers = [linear_power(c, d, field, TOTAL3) for c in reduced]
-
-    def ideal_dim(self, t: int) -> int:
-        if t < self.d:
-            return 0
-        mat = shifted_products_matrix(self.powers, t, self.field)
-        return rank(mat, self.field)
+def _power_map(table, power: PolyVector, t: int) -> MultMapReport:
+    """x ell^k : A_(t-k) -> A_t for power = ell^k in B's coordinates: the
+    rank of the contraction ell^k o J^perp_t."""
+    if t < table.d:
+        # I is zero below degree d, and x ell^k is injective on R
+        coker = table.quotient_dim(t) - table.quotient_dim(t - power.degree)
+    else:
+        image = _contraction(table, power, t)
+        coker = image.shape[0] - rank(image, table.grid.field)
+    return MultMapReport.from_coker(
+        t, table.quotient_dim(t - power.degree), table.quotient_dim(t), coker
+    )
 
 
 def quotient_dim(grid: GridConfig, d: int, t: int) -> int:
     """dim [R/I]_t for the powers ideal."""
-    if t < 0:
-        return 0
-    return dim_total(4, t) - powers_ideal_dim(grid, d, t)
+    return _powers_table(grid, d).quotient_dim(t)
 
 
 def mult_map_analysis(grid: GridConfig, d: int, ell, t: int) -> MultMapReport:
     """Measure x ell : A_(t-1) -> A_t by exact rank computations."""
     if t < 1:
         raise LefschetzError("degree t must be >= 1")
-    qp = _QuotientPowers(grid, d, ell)
-    return _mult_map_from_quotient(grid, d, qp, t)
-
-
-def _mult_map_from_quotient(grid, d, qp: _QuotientPowers, t: int) -> MultMapReport:
-    coker = basis_size(TOTAL3, t) - qp.ideal_dim(t)
-    return MultMapReport.from_coker(
-        t, quotient_dim(grid, d, t - 1), quotient_dim(grid, d, t), coker
-    )
+    return slp_power_map_report(grid, d, ell, 1, t)
 
 
 def sweep_degrees(grid: GridConfig, d: int) -> list:
-    """All degrees t >= 1 with dim A_t > 0, up to the socle cap."""
-    cap = 4 * (d - 1) + 1
-    out = []
-    for t in range(1, cap + 1):
-        if quotient_dim(grid, d, t) == 0:
-            break
-        out.append(t)
-    return out
+    """All degrees t >= 1 with dim A_t > 0: the table's sweep."""
+    return list(_powers_table(grid, d).sweep())
 
 
 def draw_forms(grid: GridConfig, locus, stream: SeedStream, trials: int) -> list:
@@ -223,12 +195,9 @@ def wlp_test(grid: GridConfig, d: int, trials: int = 3, seed=0xC0FFEE) -> WlpRep
     degree. Maximal rank certified by any single trial; failure requires all
     trials to agree."""
     forms = draw_forms(grid, "generic", SeedStream.of(seed).child("form"), trials)
-    degrees = sweep_degrees(grid, d)
-    quotients = [_QuotientPowers(grid, d, ell) for ell in forms]
-    reports = [
-        best_map(_mult_map_from_quotient(grid, d, qp, t) for qp in quotients)
-        for t in degrees
-    ]
+    table = _powers_table(grid, d)
+    powers = [_power_in_b(grid, ell, 1) for ell in forms]
+    reports = [best_map(_power_map(table, p, t) for p in powers) for t in table.sweep()]
     failing = [rep.t for rep in reports if not rep.maximal]
     out = WlpReport(
         grid=grid,
@@ -297,24 +266,21 @@ def non_lefschetz_probe(
     """Compare ranks of x ell for ell sampled from a special locus against the
     generic ranks, at the degrees that decide the WLP."""
     stream = SeedStream.of(seed)
+    table = _powers_table(grid, d)
     degs = critical_degrees(grid.a, d)
     if degs is None:
-        degs = sweep_degrees(grid, d)
+        degs = table.sweep()
     else:
-        degs = [t for t in degs if quotient_dim(grid, d, t) > 0 and t >= 1]
-    gen_quotients = [
-        _QuotientPowers(grid, d, ell)
-        for ell in draw_forms(grid, "generic", stream.child("form"), trials)
-    ]
-    spec_quotients = [
-        _QuotientPowers(grid, d, ell)
-        for ell in draw_forms(grid, locus, stream.child("locus-form"), trials)
-    ]
+        degs = [t for t in degs if table.quotient_dim(t) > 0 and t >= 1]
+    gen_powers, spec_powers = (
+        [_power_in_b(grid, ell, 1) for ell in draw_forms(grid, kind, stream.child(label), trials)]
+        for kind, label in (("generic", "form"), (locus, "locus-form"))
+    )
     entries = []
     for t in degs:
         gen, spe = (
-            best_map(_mult_map_from_quotient(grid, d, qp, t) for qp in quotients)
-            for quotients in (gen_quotients, spec_quotients)
+            best_map(_power_map(table, p, t) for p in powers)
+            for powers in (gen_powers, spec_powers)
         )
         entries.append(ProbeEntry(t=t, generic=gen, specialized=spe))
     member = any(not e.achieves_generic for e in entries)
@@ -324,19 +290,10 @@ def non_lefschetz_probe(
 
 
 def slp_power_map_report(grid: GridConfig, d: int, ell, k: int, t: int) -> MultMapReport:
-    """Measure x ell^k : A_(t-k) -> A_t via the union of the ideal piece with
-    ell^k * R_(t-k) inside R_t (exploratory; no closed-form reference)."""
-    field = grid.field
-    dim_from = quotient_dim(grid, d, t - k)
-    dim_to = quotient_dim(grid, d, t)
-    n_t = dim_total(4, t)
-    gens = power_generators(grid, d)
-    rows = [shifted_products_matrix(gens, t, field)] if t >= d else []
-    if t - k >= 0:
-        ellk = linear_power(ell, k, field)
-        rows.append(shifted_products_matrix([ellk], t, field))
-    union = rank(np.vstack(rows), field) if rows else 0
-    return MultMapReport.from_coker(t, dim_from, dim_to, n_t - union)
+    """Measure x ell^k : A_(t-k) -> A_t by exact rank computations
+    (exploratory for k >= 2; no closed-form reference)."""
+    power = _power_in_b(grid, ell, k)
+    return _power_map(_powers_table(grid, d), power, t)
 
 
 def slp_probe(grid: GridConfig, d: int, k: int, trials: int = 3, seed=0xC0FFEE):
@@ -347,11 +304,9 @@ def slp_probe(grid: GridConfig, d: int, k: int, trials: int = 3, seed=0xC0FFEE):
     if k == 1:
         return wlp_test(grid, d, trials, seed)
     forms = draw_forms(grid, "generic", SeedStream.of(seed).child("slp-form"), trials)
-    tmax = max(sweep_degrees(grid, d), default=0)
-    return [
-        best_map(slp_power_map_report(grid, d, ell, k, t) for ell in forms)
-        for t in range(k, tmax + 1)
-    ]
+    table = _powers_table(grid, d)
+    powers = [_power_in_b(grid, ell, k) for ell in forms]
+    return [best_map(_power_map(table, p, t) for p in powers) for t in table.sweep() if t >= k]
 
 
 @dataclass

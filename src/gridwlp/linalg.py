@@ -155,6 +155,7 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = True):
     if rest.shape[0] == 0:
         return top, tp
     bot, bp = _echelon(rest, p, reduced)
+    del rest  # not needed by the merge, which is the peak of a reduced echelon
     bp = free[bp]
     if reduced:
         top[:, free] = _mod(top[:, free] - _matmul_modp(top[:, bp], bot, p), p)

@@ -57,7 +57,7 @@ def basis_size(grading: Grading, degree) -> int:
     return dim_bigraded(*degree)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def graded_basis(grading: Grading, degree) -> tuple:
     """Ordered tuple of exponent tuples for one graded piece."""
     if grading.kind == "total":
@@ -82,7 +82,7 @@ def _total_exponents(nvars: int, t: int):
             yield (e,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def basis_index(grading: Grading, degree) -> dict:
     return {mono: i for i, mono in enumerate(graded_basis(grading, degree))}
 

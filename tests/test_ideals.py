@@ -20,9 +20,12 @@ from gridwlp import (
     hilbert_table,
     macaulay_dual_check,
     make_grid,
+    mult_map_analysis,
     perp_piece,
     powers_ideal_dim,
     powers_ideal_piece,
+    sample_form,
+    slp_probe,
     socle_dims,
     subgrid,
 )
@@ -41,6 +44,7 @@ from gridwlp.polyspace import (
     basis_index,
     dim_total,
     graded_basis,
+    linear_power,
     poly_mul,
     zero_poly,
 )
@@ -161,16 +165,94 @@ def test_hilbert_table_rejects_power_zero(fp, grid33):
             powers_ideal_dim(grid33, d, 2)
 
 
+def _same_span(x, y, field):
+    return np.array_equal(rref(x, field)[0], rref(y, field)[0])
+
+
+def test_table_basis_spans_the_inverse_system(fp):
+    # below d the identity, then the primal kernel, then descended bases;
+    # every basis spans J^perp_t and records a_t
+    grid = make_grid(4, 4, fp, seed=SeedStream(91))
+    d = 6
+    table = ideals.PowersHilbertTable(grid, d)
+    for t in range(0, 4 * (d - 1) + 2):
+        basis = table.basis(t)
+        if t < d:
+            assert np.array_equal(basis, linalg._identity(dim_total(4, t), fp))
+            continue
+        assert table.quotient_dim(t) == basis.shape[0]
+        if basis.shape[0]:
+            assert _same_span(basis, _primal_kernel(grid, d, t), fp), t
+        else:
+            assert _primal_kernel(grid, d, t).shape[0] == 0
+    assert d < table.switch < 4 * (d - 1)
+    # asked for again, the kept basis comes back as it is
+    t = table.switch
+    assert table.basis(t) is table.basis(t)
+
+
+def test_table_sweep_computes_each_basis_once(fp, monkeypatch):
+    # one primal matrix per primal degree: the switch reuses the kernel of
+    # the degree before it, and each later degree descends once
+    grid = make_grid(5, 5, fp, seed=SeedStream(92))
+    d = 6
+    table = ideals.PowersHilbertTable(grid, d)
+    built, descended = [], []
+    primal, descend = table._primal, ideals._descend
+    monkeypatch.setattr(table, "_primal", lambda t: built.append(t) or primal(t))
+    monkeypatch.setattr(ideals, "_descend", lambda b, d, t, f: descended.append(t) or descend(b, d, t, f))
+    degrees = list(table.sweep())
+    assert degrees == list(range(1, max(degrees) + 1))
+    assert built == list(range(d, table.switch))
+    assert descended == list(range(table.switch, max(degrees) + 2))
+    # the degrees already walked are read from the table
+    assert all(table.quotient_dim(t) > 0 for t in range(d, max(degrees) + 1))
+    assert built == list(range(d, table.switch))
+
+
+def test_one_table_keeps_a_basis_at_a_time(fp):
+    g1 = make_grid(3, 3, fp, seed=SeedStream(93))
+    g2 = make_grid(3, 4, fp, seed=SeedStream(94))
+    t1, t2 = ideals.PowersHilbertTable(g1, 3), ideals.PowersHilbertTable(g2, 3)
+    first = t1.basis(4)
+    assert t1.basis(4) is first
+    t2.basis(4)
+    again = t1.basis(4)
+    assert again is not first and np.array_equal(again, first)
+
+
+def test_b_coordinates_send_the_corners_to_coordinate_points(fp, qq):
+    for field in (fp, qq):
+        grid = make_grid(3, 4, field, u=[2, 5, 7], v=[1, 3, 4, 9])
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            image = ideals._b_coordinates(grid, grid.dual_form_coeffs(i, j))
+            assert [k for k, c in enumerate(image) if c != 0] == [2 * i + j]
+        # the same map as the generators': a power of the image of a
+        # non-corner dual form is a normalised generator
+        gens = ideals._normalised_generators(grid, 2)
+        image = ideals._b_coordinates(grid, grid.dual_form_coeffs(2, 3))
+        assert np.array_equal(gens[-1].coeffs, linear_power(image, 2, field).coeffs)
+
+
 def test_powers_ideal_dim_cap_guard_before_assembly(fp, monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("matrix assembled before the cap guard")
 
     grid = make_grid(2, 3, fp, seed=SeedStream(71))
+    ell = sample_form(grid, "generic", SeedStream(72))
     monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
     monkeypatch.setattr(ideals, "shifted_products_matrix", no_assembly)
     monkeypatch.setattr(ideals, "_normalised_generators", no_assembly)
     with pytest.raises(DimensionCapError):
         powers_ideal_dim(grid, 2, 4)  # 35 monomials of degree 4
+    # the map routes check degree t before they build anything at t - 1
+    with pytest.raises(DimensionCapError):
+        mult_map_analysis(grid, 2, ell, 4)
+    with pytest.raises(DimensionCapError):
+        socle_dims(PowersIdealSpec(grid, 2), range(3, 4))
+    # below d = 4 nothing is assembled; degree 4 is refused
+    with pytest.raises(DimensionCapError):
+        slp_probe(grid, 4, 2, trials=1, seed=73)
 
 
 def test_fat_points_cap_guard_before_assembly(fp, grid33, monkeypatch):
@@ -302,6 +384,57 @@ def test_socle_examples(fp, grid33):
     assert soc == {t: 0 for t in range(0, 5)}
     soc2 = socle_dims(PowersIdealSpec(grid33, 2), range(0, 3))
     assert soc2 == {0: 0, 1: 0, 2: 1}
+
+
+def _shift_matrix(t, var, field):
+    # multiplication by x_var from R_t to R_(t+1) on monomial bases
+    src = graded_basis(TOTAL4, t)
+    idx = basis_index(TOTAL4, t + 1)
+    mat = field.zeros((dim_total(4, t + 1), len(src)))
+    for c, mono in enumerate(src):
+        target = list(mono)
+        target[var] += 1
+        mat[idx[tuple(target)], c] = field.one
+    return mat
+
+
+def _full_ring_socle(spec, t):
+    # the full-ring route in the original coordinates: f in R_t is in the
+    # socle preimage when every x_i f lies in [I]_(t+1); reduce each x_i * R_t
+    # modulo the RREF of [I]_(t+1) and take the common kernel
+    field = spec.grid.field
+    ideal_t = powers_ideal_piece(spec, t).dim
+    piece = powers_ideal_piece(spec, t + 1)
+    red = piece.rref
+    piv = np.argmax(red != 0, axis=1)
+    stacked = []
+    for var in range(4):
+        shift = _shift_matrix(t, var, field)
+        if red.shape[0]:
+            shift = field.sub(shift, linalg._matmul(red.T, shift[piv, :], field))
+        stacked.append(shift)
+    big = np.vstack(stacked)
+    return big.shape[1] - rank(big, field) - ideal_t
+
+
+@pytest.mark.parametrize(
+    "field, cases",
+    [
+        (PrimeField(), [(3, 3, 2, 5), (2, 3, 2, 5), (3, 4, 3, 9), (4, 4, 4, 13), (2, 2, 3, 9)]),
+        (PrimeField(31), [(3, 3, 2, 5), (3, 4, 3, 9)]),
+        (RationalField(), [(3, 3, 2, 3), (2, 3, 2, 3)]),
+    ],
+    ids=["p2^31-1", "p31", "QQ"],
+)
+def test_socle_dims_match_full_ring_oracle(field, cases):
+    # each case has a nonzero socle; over F_p every degree to one past the
+    # socle cap 4(d - 1) is compared
+    for a, b, d, tmax in cases:
+        grid = make_grid(a, b, field, seed=SeedStream(50 + a + b))
+        spec = PowersIdealSpec(grid, d)
+        got = socle_dims(spec, range(0, tmax + 1))
+        assert got == {t: _full_ring_socle(spec, t) for t in range(0, tmax + 1)}, (a, b, d)
+        assert any(got.values())
 
 
 def test_macaulay_dual_check_examples(fp, grid33, grid36):

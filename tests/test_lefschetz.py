@@ -3,6 +3,8 @@ import json
 import pytest
 
 from gridwlp import (
+    PrimeField,
+    RationalField,
     SeedStream,
     bx_sequence,
     make_grid,
@@ -14,6 +16,7 @@ from gridwlp import (
     union_dim,
     wlp_test,
 )
+from gridwlp import ideals
 from gridwlp.ideals import PowersIdealSpec, shifted_products_matrix
 from gridwlp.lefschetz import (
     LefschetzError,
@@ -21,10 +24,11 @@ from gridwlp.lefschetz import (
     best_map,
     draw_forms,
     quotient_dim,
+    slp_power_map_report,
     sweep_degrees,
 )
 from gridwlp.linalg import subspace_from_rows
-from gridwlp.polyspace import TOTAL4, dim_total, linear_form
+from gridwlp.polyspace import TOTAL4, dim_total, linear_power
 
 
 def _generic(grid, seed):
@@ -50,16 +54,85 @@ def test_mult_map_3x6_d5(fp, grid36):
     assert not rep.maximal
 
 
+def _union_coker(grid, d, ell, k, t):
+    # the full-ring oracle in the original coordinates:
+    # dim R_t - dim([I]_t + ell^k * R_(t-k))
+    field = grid.field
+    piece = powers_ideal_piece(PowersIdealSpec(grid, d), t)
+    if t < k:
+        return dim_total(4, t) - piece.dim
+    rows = shifted_products_matrix([linear_power(ell, k, field)], t, field)
+    return dim_total(4, t) - union_dim(piece, subspace_from_rows(rows, (TOTAL4, t), field), field)
+
+
 def test_coker_agrees_with_union_dim_route(fp, grid33):
-    # the quotient-ring measurement equals ambient minus the union of the
-    # ideal piece with ell * R_(t-1)
+    # the measurement in B equals ambient minus the union of the ideal piece
+    # with ell * R_(t-1)
     ell = _generic(grid33, 4)
     for d, t in ((3, 3), (4, 5), (2, 2)):
         rep = mult_map_analysis(grid33, d, ell, t)
-        piece = powers_ideal_piece(PowersIdealSpec(grid33, d), t)
-        ell_rows = shifted_products_matrix([linear_form(ell, fp)], t, fp)
-        ell_span = subspace_from_rows(ell_rows, (TOTAL4, t), fp)
-        assert rep.coker_dim == dim_total(4, t) - union_dim(piece, ell_span, fp)
+        assert rep.coker_dim == _union_coker(grid33, d, ell, 1, t)
+
+
+LOCI = [
+    "generic",
+    ("plane", 0, 0),
+    ("chord", (0, 1), (1, 0)),
+    ("ruling", "lambda", 0),
+    ("ruling", "mu", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "field, a, b, d_values",
+    [
+        (PrimeField(), 3, 3, (2, 3, 4)),
+        (PrimeField(31), 3, 3, (2, 3)),
+        (PrimeField(31), 2, 3, (2, 3)),
+        (RationalField(), 2, 3, (2,)),
+        (RationalField(), 3, 3, (2,)),
+    ],
+    ids=["p2^31-1-3x3", "p31-3x3", "p31-2x3", "QQ-2x3", "QQ-3x3"],
+)
+def test_power_maps_agree_with_full_ring_union(field, a, b, d_values):
+    # every sweep degree, every locus, k = 1, 2, 3
+    grid = make_grid(a, b, field, seed=SeedStream(40 + a + b))
+    for d in d_values:
+        for locus in LOCI:
+            (ell,) = draw_forms(grid, locus, SeedStream(41).child(d, str(locus)), 1)
+            for t in sweep_degrees(grid, d):
+                rep = mult_map_analysis(grid, d, ell, t)
+                assert rep.coker_dim == _union_coker(grid, d, ell, 1, t), (d, locus, t)
+                for k in (2, 3):
+                    rep = slp_power_map_report(grid, d, ell, k, t)
+                    assert rep.coker_dim == _union_coker(grid, d, ell, k, t), (d, locus, t, k)
+
+
+def test_power_maps_past_the_switch_agree_with_full_ring_union(fp):
+    # 4x4, d=6: the table descends from t=9 on; walk it first, so that the
+    # degrees past the switch are read from descended bases
+    grid = make_grid(4, 4, fp, seed=SeedStream(48))
+    d = 6
+    table = ideals._powers_table(grid, d)
+    degrees = list(table.sweep())
+    assert table.switch is not None and table.switch <= max(degrees)
+    ell = _generic(grid, 49)
+    for t in degrees:
+        rep = mult_map_analysis(grid, d, ell, t)
+        assert rep.coker_dim == _union_coker(grid, d, ell, 1, t), t
+        if t >= table.switch - 1:
+            rep = slp_power_map_report(grid, d, ell, 2, t)
+            assert rep.coker_dim == _union_coker(grid, d, ell, 2, t), t
+
+
+def test_map_rejects_zero_and_grid_point_forms(fp, grid33):
+    with pytest.raises(LefschetzError, match="ell must be nonzero"):
+        mult_map_analysis(grid33, 3, (0, 0, 0, 0), 3)
+    point = [fp.mul(7, c) for c in grid33.point(1, 2)]
+    with pytest.raises(LefschetzError, match="ell is dual to a grid point"):
+        mult_map_analysis(grid33, 3, point, 3)
+    with pytest.raises(LefschetzError, match="ell is dual to a grid point"):
+        slp_power_map_report(grid33, 3, grid33.point(0, 0), 2, 3)
 
 
 def test_wlp_verdicts_small(fp, grid33):

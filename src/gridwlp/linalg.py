@@ -13,13 +13,18 @@ once per unit of rank. The products split each factor into 16-bit limbs,
 so every partial sum is an integer below 2^53 and exact (see
 ``_matmul_modp``).
 
-Over the rationals, a plain fraction elimination handles the small
-cross-check instances and is the oracle for the F_p kernel.
+Over the rationals, a fraction-free elimination on primitive integer rows
+handles the small cross-check instances and is the oracle for the F_p
+kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -50,6 +55,53 @@ def _check_cap(ncols: int):
         )
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    numpy has no call for this, so the library is looked up in this
+    process's memory map (Linux) under the symbol names of OpenBLAS builds:
+    plain, with the ``64_`` suffix of 64-bit-integer builds, and with the
+    ``scipy_`` prefix of the builds in numpy's wheels.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas{}64_", "openblas{}64_", "openblas{}"):
+            get = getattr(lib, name.format("_get_num_threads"), None)
+            put = getattr(lib, name.format("_set_num_threads"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with one thread per BLAS call, in this process and in
+    every process forked inside it; the count is restored on exit.
+
+    OpenBLAS workers spin after each call, so two processes that each run
+    multithreaded BLAS on the same cores take CPU from each other's main
+    thread. Where OpenBLAS is not found this does nothing.
+    """
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _mod(z: np.ndarray, p: int) -> np.ndarray:
     """Reduce a float64 array of integers with |z| < 2^53 - p mod p, in place.
 
@@ -76,14 +128,18 @@ def _matmul_modp(x, y, p: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     assert x.shape[1] < 2**20, "limb products would reach 2^53"
+    # each limb is made just before its first product and freed after its
+    # last: the products of a top-level merge set the memory peak of an RREF
     x1 = np.floor(x * 2.0**-16)
-    x0 = x - x1 * 2.0**16
     y1 = np.floor(y * 2.0**-16)
-    y0 = y - y1 * 2.0**16
     z = _mod(x1 @ y1, p)
     z *= 2.0**16
+    y0 = y - y1 * 2.0**16
     z += x1 @ y0
+    x0 = x - x1 * 2.0**16
+    del x1
     z += x0 @ y1
+    del y1
     _mod(z, p)
     z *= 2.0**16
     z += x0 @ y0
@@ -168,9 +224,22 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = True):
 
 
 def _echelon_frac(a: np.ndarray, reduced: bool):
-    from fractions import Fraction
+    """Row echelon basis of a rational matrix: (Fraction rows, pivot columns).
 
-    rows = [list(map(Fraction, row)) for row in np.asarray(a, dtype=object)]
+    Fraction-free: each row is scaled to coprime integers, and a step sets
+    row_i = (p * row_i - f * pivot_row) / c, where p is the pivot, f the
+    entry of row_i in the pivot column (p and f first divided by their gcd)
+    and c the gcd of the new row. Rows with f = 0 are not touched, so sparse
+    rows stay small, and every row stays a primitive integer vector.
+    Rows are divided by their pivots only at the end. With `reduced` the
+    rows are the RREF; otherwise only the rows below each pivot are cleared,
+    as for the rank.
+    """
+    rows = []
+    for row in np.asarray(a, dtype=object):
+        row = [Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        rows.append(_primitive([v.numerator * (den // v.denominator) for v in row]))
     m = len(rows)
     n = len(rows[0]) if m else 0
     piv_cols = []
@@ -178,27 +247,30 @@ def _echelon_frac(a: np.ndarray, reduced: bool):
     for col in range(n):
         if rr == m:
             break
-        sel = None
-        for i in range(rr, m):
-            if rows[i][col] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(rr, m) if rows[i][col]), None)
         if sel is None:
             continue
         rows[rr], rows[sel] = rows[sel], rows[rr]
-        inv = 1 / rows[rr][col]
-        rows[rr] = [v * inv for v in rows[rr]]
-        rng = range(m) if reduced else range(rr + 1, m)
-        for i in rng:
-            if i != rr and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rr])]
+        top = rows[rr]
+        for i in range(0 if reduced else rr + 1, m):
+            f = rows[i][col]
+            if f and i != rr:
+                g = gcd(top[col], f)
+                p, f = top[col] // g, f // g
+                rows[i] = _primitive([p * v - f * w for v, w in zip(rows[i], top)])
         piv_cols.append(col)
         rr += 1
     out = np.empty((rr, n), dtype=object)
-    for i in range(rr):
-        out[i, :] = rows[i]
+    for i, col in enumerate(piv_cols):
+        p = rows[i][col]
+        out[i, :] = [Fraction(v, p) for v in rows[i]]
     return out, piv_cols
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    c = gcd(*row)
+    return [v // c for v in row] if c > 1 else row
 
 
 def rank(matrix, field) -> int:

@@ -3,10 +3,16 @@ encodes is checked against independent brute-force linear algebra.
 
 Each check returns a CheckResult with one line per sub-assertion; the CLI
 `verify-paper` command and the acceptance test module both run these.
+Check 11 reruns checks 1-10 under a second seed. `run_suite` starts that
+rerun in a forked child before the first pass, so the two passes run
+concurrently; the child sends back only the outcome signatures.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field as dc_field
 from math import comb
@@ -32,6 +38,7 @@ from .ideals import (
     socle_dims,
 )
 from .lefschetz import best_map, draw_forms, mult_map_analysis, non_lefschetz_probe, wlp_test
+from .linalg import single_blas_thread
 from .polyspace import TOTAL3, dim_total, poly_mul, zero_poly
 
 
@@ -54,7 +61,7 @@ class CheckResult:
 class _Check:
     def __init__(self, index, name):
         self.result = CheckResult(index=index, name=name, passed=True)
-        self._t0 = time.time()
+        self._t0 = time.perf_counter()
 
     def expect(self, label, computed, expected):
         ok = computed == expected
@@ -73,7 +80,7 @@ class _Check:
         return flag
 
     def done(self):
-        self.result.seconds = time.time() - self._t0
+        self.result.seconds = time.perf_counter() - self._t0
         return self.result
 
 
@@ -286,15 +293,98 @@ def mode_agreement_dims(field) -> dict:
     return out
 
 
-def check_determinism_and_modes(field, first_run, trials=3, a_max=5, seed2=0xD15EA5E) -> CheckResult:
+_SEED2 = 0xD15EA5E
+
+
+def _run_checks(field, stream, trials, a_max, progress=None):
+    results = []
+    for fn in _NUMBERED_CHECKS:
+        results.append(fn(field, stream, trials=trials, a_max=a_max))
+        if progress:
+            progress(results[-1])
+    return results
+
+
+def _rerun_signatures(field, trials, a_max, seed2=_SEED2):
+    return [r.signature() for r in _run_checks(field, SeedStream(seed2), trials, a_max)]
+
+
+class _ForkedRerun:
+    """The second-seed pass of checks 1-10 in a forked child process.
+
+    The child writes the pickled list of signatures, or the pickled
+    exception it raised, to a pipe and leaves with os._exit: it flushes no
+    inherited stdio buffer and runs no atexit handler. The pid and the read
+    end are cleared as soon as they are consumed, so that `close` kills and
+    reaps only a child that has not been reaped.
+    """
+
+    def __init__(self, field, trials, a_max):
+        fd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(fd)
+            os.close(wfd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(fd)
+                try:
+                    payload = _rerun_signatures(field, trials, a_max)
+                except Exception as exc:  # re-raised by the parent
+                    payload = exc
+                data = pickle.dumps(payload)
+                with os.fdopen(wfd, "wb") as fh:
+                    fh.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(wfd)
+        self.pid, self.fd = pid, fd
+
+    def signatures(self):
+        """Wait for the child; return its signatures or raise its exception."""
+        fh = os.fdopen(self.fd, "rb")
+        self.fd = None
+        with fh:
+            # to EOF before waitpid: a child blocked on a full pipe never exits
+            data = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"the second-seed pass ended without a result (exit status {code})")
+        out = pickle.loads(data)  # written by the child forked above
+        if isinstance(out, BaseException):
+            raise out
+        return out
+
+    def close(self):
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def check_determinism_and_modes(
+    field, first_run, trials=3, a_max=5, seed2=_SEED2, rerun=None
+) -> CheckResult:
     """Criterion: rerunning every check under a different seed yields byte-
     identical outcomes, and prime vs rational dimensions agree on the a=3
-    subset."""
+    subset. `rerun` is a `_ForkedRerun` started under `seed2`; without one,
+    the second pass runs here."""
     c = _Check(11, "determinism and mode agreement")
-    stream2 = SeedStream(seed2)
-    for fn, prior in zip(_NUMBERED_CHECKS, first_run):
-        redo = fn(field, stream2, trials=trials, a_max=a_max)
-        same = redo.signature()[1:] == prior.signature()[1:]
+    if rerun is None:
+        redo = _rerun_signatures(field, trials, a_max, seed2)
+    else:
+        redo = rerun.signatures()
+    for prior, sig in zip(first_run, redo):
+        same = sig[1:] == prior.signature()[1:]
         c.expect_true(f"check {prior.index} outcome stable across seeds", same)
     prime_dims = mode_agreement_dims(field)
     rational_dims = mode_agreement_dims(RationalField())
@@ -304,19 +394,25 @@ def check_determinism_and_modes(field, first_run, trials=3, a_max=5, seed2=0xD15
 
 
 def run_suite(prime=None, seed=0xC0FFEE, trials=3, a_max=5, rational=False, progress=None):
-    """Run the full verification suite; returns the list of CheckResults."""
+    """Run the full verification suite; returns the list of CheckResults.
+
+    The second-seed pass of check 11 runs in a forked child, concurrently
+    with the first pass, where os.fork exists; no child outlives the call.
+    """
     if rational:
         return run_rational_subset(seed=seed, progress=progress)
     field = PrimeField(prime) if prime else PrimeField()
-    stream = SeedStream(seed)
-    results = []
-    for fn in _NUMBERED_CHECKS:
-        results.append(fn(field, stream, trials=trials, a_max=a_max))
-        if progress:
-            progress(results[-1])
-    results.append(
-        check_determinism_and_modes(field, results[:10], trials=trials, a_max=a_max)
-    )
+    # both passes share the cores: one BLAS thread each
+    with single_blas_thread():
+        rerun = _ForkedRerun(field, trials, a_max) if hasattr(os, "fork") else None
+        try:
+            results = _run_checks(field, SeedStream(seed), trials, a_max, progress)
+            results.append(
+                check_determinism_and_modes(field, results, trials=trials, a_max=a_max, rerun=rerun)
+            )
+        finally:
+            if rerun is not None:
+                rerun.close()
     if progress:
         progress(results[-1])
     return results

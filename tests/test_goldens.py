@@ -3,7 +3,8 @@
 Each case runs one command in-process and compares its output with the file
 of the same name in tests/data/. The files were written by an earlier version
 of the package, so a change in how a map or a Hilbert function is measured
-must leave every byte of these outputs as it was.
+must leave every byte of these outputs as it was. The verify-paper cases
+compare everything but the timings: each check's seconds and the total.
 
 To rewrite the files after an intended change of output:
 
@@ -11,6 +12,9 @@ To rewrite the files after an intended change of output:
 """
 
 from pathlib import Path
+
+import json
+import re
 
 import pytest
 
@@ -39,6 +43,27 @@ CASES = {
     "hf-4x4-d6.csv": ("hf", *P44, "--d", "6", "--format", "csv"),
 }
 
+# name -> (argv, exit code); checks 2, 8 and 10 fail by design
+VERIFY_CASES = {
+    "verify-a3.txt": (("verify-paper", "--a-max", "3", "--format", "json"), 2),
+    "verify-rational.txt": (("verify-paper", "--rational", "--format", "json"), 0),
+}
+
+
+def _untimed(out):
+    """verify-paper output without the seconds of each check and the total."""
+    lines = []
+    for line in out.splitlines():
+        if line.startswith("{"):
+            payload = json.loads(line)
+            for check in payload["checks"]:
+                del check["seconds"]
+            line = json.dumps(payload)
+        else:
+            line = re.sub(r" +\((total )?[ 0-9.]+s\)$", "", line)
+        lines.append(line + "\n")
+    return "".join(lines)
+
 
 def _run(argv, capsys):
     code = main(list(argv))
@@ -52,6 +77,13 @@ def test_cli_output_matches_golden(name, capsys):
     assert _run(CASES[name], capsys) == (DATA / name).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_paper_matches_golden(name, capsys):
+    argv, code = VERIFY_CASES[name]
+    assert main(list(argv)) == code
+    assert _untimed(capsys.readouterr().out) == (DATA / name).read_text()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -62,4 +94,10 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(buf):
             assert main(list(argv)) == 0, argv
         (DATA / name).write_text(buf.getvalue())
+        print(f"wrote {DATA / name}")
+    for name, (argv, code) in sorted(VERIFY_CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(list(argv)) == code, argv
+        (DATA / name).write_text(_untimed(buf.getvalue()))
         print(f"wrote {DATA / name}")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gridwlp import (
     union_dim,
 )
 from gridwlp.linalg import (
+    _echelon_frac,
     _matmul_modp,
     _mod,
     intersection_dim,
@@ -172,6 +175,71 @@ def test_prime_and_rational_ranks_agree(fp, qq):
     # entries far below zero, through the recursive route
     tall = rng.integers(-9, 9, (70, 4)) @ rng.integers(-9, 9, (4, 60)) - (fp.p << 20)
     assert rank(tall, fp) == rank(fp.array(tall), fp)
+
+
+def _fraction_echelon(a, reduced):
+    """Gauss-Jordan in Fractions, the rational elimination before the
+    fraction-free one: (Fraction rows, pivot columns)."""
+    rows = [list(map(Fraction, row)) for row in np.asarray(a, dtype=object)]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    piv_cols = []
+    rr = 0
+    for col in range(n):
+        if rr == m:
+            break
+        sel = next((i for i in range(rr, m) if rows[i][col] != 0), None)
+        if sel is None:
+            continue
+        rows[rr], rows[sel] = rows[sel], rows[rr]
+        inv = 1 / rows[rr][col]
+        rows[rr] = [v * inv for v in rows[rr]]
+        for i in range(m) if reduced else range(rr + 1, m):
+            if i != rr and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rr])]
+        piv_cols.append(col)
+        rr += 1
+    out = np.empty((rr, n), dtype=object)
+    for i in range(rr):
+        out[i, :] = rows[i]
+    return out, piv_cols
+
+
+def _rational_cases(rng):
+    """Empty, zero and one-column matrices, then random rank-deficient ones
+    with small fractional entries and interleaved zero and duplicate rows."""
+    yield np.empty((0, 4), dtype=object)
+    yield np.zeros((3, 5), dtype=np.int64).astype(object)
+    yield np.array([[0], [Fraction(-2, 3)], [5]], dtype=object)
+    yield np.array([[0], [0]], dtype=object)
+    yield np.array([[Fraction(7, 4)]], dtype=object)
+    for _ in range(150):
+        m, n = (int(v) for v in rng.integers(1, 9, 2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        left = rng.integers(-4, 5, (m, r)).astype(object)
+        right = np.array(
+            [[Fraction(int(u), int(w)) for u, w in zip(nums, dens)]
+             for nums, dens in zip(rng.integers(-6, 7, (r, n)), rng.integers(1, 5, (r, n)))],
+            dtype=object,
+        ).reshape(r, n)
+        mat = left @ right if r else np.zeros((m, n), dtype=np.int64).astype(object)
+        if m > 2:
+            mat[1] = 0
+            mat[2] = mat[0]
+        yield mat
+
+
+def test_fraction_free_elimination_matches_fraction_oracle():
+    rng = _rng(14)
+    for mat in _rational_cases(rng):
+        for reduced in (True, False):
+            expect_rows, expect_piv = _fraction_echelon(mat, reduced)
+            rows, piv = _echelon_frac(mat, reduced)
+            assert piv == expect_piv
+            assert rows.shape == expect_rows.shape
+            assert all(type(v) is Fraction for v in rows.flat)
+            assert rows.tolist() == expect_rows.tolist()
 
 
 def test_kernel_basis_is_in_kernel(fp, qq):

@@ -13,6 +13,14 @@ once per unit of rank. The products split each factor into 16-bit limbs,
 so every partial sum is an integer below 2^53 and exact (see
 ``_matmul_modp``).
 
+Each product runs on one OpenBLAS thread, and the caller's thread count is
+restored after it. After a multithreaded call OpenBLAS's second worker
+spins, burning a core that the main thread could use. On 2 vCPUs, in
+alternating pairs of ``perfbench/run.py --seconds 40`` against the same
+code with the default threads, this took the median CPU time of
+``wlp --a 5 --b 5 --d 10`` from 1.71 s to 1.05 s (10 of 10 pairs) and that
+of ``bx --a 3 --b 6 --dmax 8`` from 1.20 s to 0.85 s (5 of 5 pairs).
+
 Over the rationals, a fraction-free elimination on primitive integer rows
 handles the small cross-check instances and is the oracle for the F_p
 kernel.
@@ -24,6 +32,7 @@ import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -55,13 +64,15 @@ def _check_cap(ncols: int):
         )
 
 
+@lru_cache(maxsize=1)
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
 
     numpy has no call for this, so the library is looked up in this
     process's memory map (Linux) under the symbol names of OpenBLAS builds:
     plain, with the ``64_`` suffix of 64-bit-integer builds, and with the
-    ``scipy_`` prefix of the builds in numpy's wheels.
+    ``scipy_`` prefix of the builds in numpy's wheels. The lookup reads the
+    map and loads the library (about 0.5 ms), so it runs once per process.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -82,12 +93,14 @@ def _openblas_threads():
 
 @contextmanager
 def single_blas_thread():
-    """Run the block with one thread per BLAS call, in this process and in
-    every process forked inside it; the count is restored on exit.
+    """Run the block with one thread per BLAS call; the caller's count is
+    restored on exit, also when the block raises.
 
-    OpenBLAS workers spin after each call, so two processes that each run
-    multithreaded BLAS on the same cores take CPU from each other's main
-    thread. Where OpenBLAS is not found this does nothing.
+    ``_matmul_modp`` runs each of its products in this block, so the
+    kernel runs every product on one thread: OpenBLAS workers spin after
+    each multithreaded call, and a second worker burns a core that the main
+    thread, or a forked process, could use (the measured pairs are in the
+    module docstring). Where OpenBLAS is not found this does nothing.
     """
     control = _openblas_threads()
     if control is None:
@@ -123,26 +136,29 @@ def _matmul_modp(x, y, p: int) -> np.ndarray:
     Each factor is split into 16-bit limbs, x = 2^16 x1 + x0 with x1 < 2^15
     (p < 2^31), and the four limb products are float64 BLAS matmuls.
     Horner's rule in 2^16 keeps every value below 2^47 + k * 2^32 < 2^53 for
-    an inner dimension k < 2^20, so every sum BLAS forms is exact.
+    an inner dimension k < 2^20, so every sum BLAS forms is exact. The
+    products run on one BLAS thread (see ``single_blas_thread``).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     assert x.shape[1] < 2**20, "limb products would reach 2^53"
-    # each limb is made just before its first product and freed after its
-    # last: the products of a top-level merge set the memory peak of an RREF
-    x1 = np.floor(x * 2.0**-16)
-    y1 = np.floor(y * 2.0**-16)
-    z = _mod(x1 @ y1, p)
-    z *= 2.0**16
-    y0 = y - y1 * 2.0**16
-    z += x1 @ y0
-    x0 = x - x1 * 2.0**16
-    del x1
-    z += x0 @ y1
-    del y1
-    _mod(z, p)
-    z *= 2.0**16
-    z += x0 @ y0
+    with single_blas_thread():
+        # each limb is made just before its first product and freed after
+        # its last: the products of a top-level merge set the memory peak of
+        # an RREF
+        x1 = np.floor(x * 2.0**-16)
+        y1 = np.floor(y * 2.0**-16)
+        z = _mod(x1 @ y1, p)
+        z *= 2.0**16
+        y0 = y - y1 * 2.0**16
+        z += x1 @ y0
+        x0 = x - x1 * 2.0**16
+        del x1
+        z += x0 @ y1
+        del y1
+        _mod(z, p)
+        z *= 2.0**16
+        z += x0 @ y0
     return _mod(z, p)
 
 
@@ -160,6 +176,13 @@ def _residues(matrix, p: int) -> np.ndarray:
     if a.size and a.view(np.uint64).max() >= p:
         a = a % p
     return a.astype(np.float64, order="C")
+
+
+def _complement(n: int, cols) -> np.ndarray:
+    """The sorted columns of range(n) that are not in `cols`."""
+    keep = np.ones(n, dtype=bool)
+    keep[cols] = False
+    return np.flatnonzero(keep)
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool = True):
@@ -202,7 +225,7 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = True):
     top, tp = _echelon(a[:h], p)
     if tp.size == n:
         return top, tp
-    free = np.setdiff1d(np.arange(n), tp)
+    free = _complement(n, tp)
     rest = a[h:, free]
     if tp.size:
         # top[:, tp] is the identity, so this clears rest[:, tp]
@@ -316,7 +339,7 @@ def kernel_basis(matrix, field) -> np.ndarray:
     if a.size == 0 or not np.any(a != 0):
         return _identity(n, field)
     r, piv = rref(a, field)
-    free = np.setdiff1d(np.arange(n), piv)
+    free = _complement(n, piv)
     out = field.zeros((free.size, n))
     out[np.arange(free.size), free] = field.one
     out[:, piv] = field.neg(r[:, free]).T

@@ -38,7 +38,6 @@ from .ideals import (
     socle_dims,
 )
 from .lefschetz import best_map, draw_forms, mult_map_analysis, non_lefschetz_probe, wlp_test
-from .linalg import single_blas_thread
 from .polyspace import TOTAL3, dim_total, poly_mul, zero_poly
 
 
@@ -402,17 +401,15 @@ def run_suite(prime=None, seed=0xC0FFEE, trials=3, a_max=5, rational=False, prog
     if rational:
         return run_rational_subset(seed=seed, progress=progress)
     field = PrimeField(prime) if prime else PrimeField()
-    # both passes share the cores: one BLAS thread each
-    with single_blas_thread():
-        rerun = _ForkedRerun(field, trials, a_max) if hasattr(os, "fork") else None
-        try:
-            results = _run_checks(field, SeedStream(seed), trials, a_max, progress)
-            results.append(
-                check_determinism_and_modes(field, results, trials=trials, a_max=a_max, rerun=rerun)
-            )
-        finally:
-            if rerun is not None:
-                rerun.close()
+    rerun = _ForkedRerun(field, trials, a_max) if hasattr(os, "fork") else None
+    try:
+        results = _run_checks(field, SeedStream(seed), trials, a_max, progress)
+        results.append(
+            check_determinism_and_modes(field, results, trials=trials, a_max=a_max, rerun=rerun)
+        )
+    finally:
+        if rerun is not None:
+            rerun.close()
     if progress:
         progress(results[-1])
     return results

@@ -9,6 +9,7 @@ from gridwlp import (
     SeedStream,
     kernel_basis,
     kernel_dim,
+    linalg,
     linear_power,
     rank,
     span_dim,
@@ -163,6 +164,45 @@ def test_matmul_modp_matches_object_arithmetic(fp):
     y = rng.integers(0, fp.p, (23, 11)).astype(np.int64)
     exact = (x.astype(object) @ y.astype(object)) % fp.p
     assert np.array_equal(_matmul_modp(x, y, fp.p), exact.astype(np.int64))
+
+
+def test_callers_thread_count_is_back_after_each_entry(fp, product_threads):
+    get, seen = product_threads
+    # the top half has rank 60 < 100 columns, so the bottom half is reduced
+    # by a product
+    mat = _rng(8).integers(0, fp.p, (120, 100))
+    for entry in (rank, rref, kernel_basis):
+        seen.clear()
+        entry(mat, fp)
+        assert seen and set(seen) == {1}, entry.__name__
+        assert get() == 2, entry.__name__
+
+
+def test_callers_thread_count_is_back_after_a_failed_product(fp, product_threads):
+    get, seen = product_threads
+    with pytest.raises(ValueError):
+        _matmul_modp(np.ones((2, 3)), np.ones((4, 2)), fp.p)
+    assert seen == [1] and get() == 2
+
+
+def test_results_do_not_depend_on_the_thread_control(fp, monkeypatch):
+    rng = _rng(9)
+    mats = [rng.integers(0, fp.p, (120, 100)), _low_rank(rng, 300, 80, 70, fp.p),
+            _low_rank(rng, 60, 250, 55, fp.p)]
+    with_control = [(rank(m, fp), rref(m, fp)) for m in mats]
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    for m, (r, (rows, piv)) in zip(mats, with_control):
+        rows_none, piv_none = rref(m, fp)
+        assert rank(m, fp) == r and piv_none == piv and np.array_equal(rows_none, rows)
+
+
+def test_thread_control_is_looked_up_once(fp):
+    x = _rng(10).integers(0, fp.p, (4, 4))
+    linalg._openblas_threads.cache_clear()
+    _matmul_modp(x, x, fp.p)
+    _matmul_modp(x, x, fp.p)
+    info = linalg._openblas_threads.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_prime_and_rational_ranks_agree(fp, qq):

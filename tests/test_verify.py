@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from gridwlp import PrimeField
-from gridwlp import verify
+from gridwlp import PrimeField, rank, verify
 from gridwlp.cli import main
 from gridwlp.linalg import DimensionCapError, _openblas_threads
 from gridwlp.verify import CheckResult, _Check, _ForkedRerun, _rerun_signatures, run_suite
@@ -165,25 +164,22 @@ def test_openblas_thread_control_is_found():
 
 
 @needs_fork
-def test_both_passes_run_one_blas_thread(monkeypatch):
-    control = _openblas_threads()
-    if control is None:
-        pytest.skip("OpenBLAS not found")
-    get, put = control
+def test_both_passes_run_one_blas_thread(monkeypatch, product_threads):
+    # the count is read inside each product: the check's own body runs with
+    # the caller's count, which the suite leaves alone
+    get, seen = product_threads
 
     def counts_threads(field, stream, trials=3, a_max=5):
+        # a pass that differs in the forked child fails check 11
         c = _Check(1, "BLAS threads")
-        c.expect("threads", get(), 1)
+        seen.clear()
+        rank(np.random.default_rng(0).integers(0, field.p, (120, 100)), field)
+        c.expect("threads in products", sorted(set(seen)), [1])
         return c.done()
 
     monkeypatch.setattr(verify, "_NUMBERED_CHECKS", [counts_threads])
-    before = get()
-    put(2)
-    try:
-        results = run_suite(a_max=3)
-        assert get() == 2
-    finally:
-        put(before)
+    results = run_suite(a_max=3)
+    assert get() == 2
     assert [r.passed for r in results] == [True, True]
     assert results[1].details[0] == "check 1 outcome stable across seeds: ok"
     _assert_no_child_left()

@@ -14,13 +14,11 @@ from .field import (
     PrimeTooSmallError,
     RationalField,
     SeedStream,
-    field_arith,
 )
-from .geometry import GridConfig, PlanePointSet, is_ci_hilbert, make_grid, project_from_point, sample_form, subgrid
+from .geometry import GridConfig, make_grid, sample_form, subgrid
 from .ideals import (
     FatPointsSpec,
     HilbertTable,
-    PerpSpec,
     PowersIdealSpec,
     ci_power_dim_formula,
     ci_power_piece,
@@ -62,9 +60,7 @@ from .linalg import (
     DimensionCapError,
     SubspaceBasis,
     kernel_basis,
-    kernel_dim,
     rank,
-    span_dim,
     union_dim,
 )
 from .polyspace import (
@@ -73,11 +69,9 @@ from .polyspace import (
     TOTAL4,
     Grading,
     PolyVector,
-    diff_action,
     graded_basis,
     linear_form,
     linear_power,
-    partials_at_point,
     poly_mul,
 )
 

@@ -172,19 +172,6 @@ class RationalField:
         return arr
 
 
-def field_arith(field, x, y, op: str):
-    """One-of add/sub/mul/div on canonical field values."""
-    if op == "add":
-        return field.add(x, y)
-    if op == "sub":
-        return field.sub(x, y)
-    if op == "mul":
-        return field.mul(x, y)
-    if op == "div":
-        return field.div(x, y)
-    raise ValueError(f"unknown op {op!r}")
-
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -1,5 +1,5 @@
 """Grids on the Segre quadric x1*x4 - x2*x3: points, dual forms, ruling lines,
-tangent planes, projections to a plane, and sampling of special linear forms.
+tangent planes, and sampling of special linear forms.
 
 Coordinates are normalized so the grid point with parameters (u_i, v_j) is
 (1, v_j, u_i, u_i*v_j); every smooth quadric with an a x b grid is projectively
@@ -10,20 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .field import PrimeTooSmallError, SeedStream
-from .linalg import _check_cap, rank
-from .polyspace import (
-    TOTAL3,
-    TOTAL4,
-    PolyVector,
-    dim_total,
-    poly_from_terms,
-    vanishing_rows,
-)
+from .linalg import rank
+from .polyspace import TOTAL4, PolyVector, poly_from_terms
 
 
 class GridError(ValueError):
@@ -270,97 +262,3 @@ def _on_line(x, p, q, field) -> bool:
     if not field.rational:
         mat = mat.astype(np.int64)
     return rank(mat, field) <= 2
-
-
-@dataclass
-class PlanePointSet:
-    """Distinct projected points in 3 coordinates, plus the collision report."""
-
-    points: tuple
-    collisions: tuple  # pairs of grid indices mapped to the same image
-
-
-def project_from_point(grid: GridConfig, p, h=None, stream: SeedStream = None) -> PlanePointSet:
-    """Project the grid from p to the plane h (coeffs), in 3 coordinates.
-
-    h defaults to a seeded random plane not through p. Distinct grid points
-    with equal images are recorded multiplicity-free in the collision report.
-    """
-    f = grid.field
-    p = tuple(f.normalize(c) for c in p)
-    if grid.is_grid_point(p):
-        raise GridError("projection center must not be a grid point")
-    if h is None:
-        if stream is None:
-            raise GridError("need a target plane or a stream to draw one")
-        while True:
-            h = tuple(stream.scalar(f) for _ in range(4))
-            if _form_value(h, p, f) != 0:
-                break
-    else:
-        h = tuple(f.normalize(c) for c in h)
-        if _form_value(h, p, f) == 0:
-            raise GridError("target plane passes through the projection center")
-    hp = _form_value(h, p, f)
-    piv = next(i for i in range(4) if h[i] != 0)
-    keep = [i for i in range(4) if i != piv]
-    images = []
-    for i in range(grid.a):
-        for j in range(grid.b):
-            x = grid.point(i, j)
-            hx = _form_value(h, x, f)
-            y = tuple(f.sub(f.mul(hp, xc), f.mul(hx, pc)) for xc, pc in zip(x, p))
-            images.append(((i, j), tuple(y[k] for k in keep)))
-    distinct = []
-    collisions = []
-    for idx, img in images:
-        hit = None
-        for d_idx, d_img in distinct:
-            if _proportional(list(img), list(d_img), f):
-                hit = d_idx
-                break
-        if hit is None:
-            distinct.append((idx, img))
-        else:
-            collisions.append((hit, idx))
-    return PlanePointSet(
-        points=tuple(img for _, img in distinct), collisions=tuple(collisions)
-    )
-
-
-def _form_value(coeffs, point, field):
-    acc = field.zero
-    for c, x in zip(coeffs, point):
-        acc = field.add(acc, field.mul(field.normalize(c), field.normalize(x)))
-    return acc
-
-
-def plane_points_hf(points, t: int, field) -> int:
-    """Hilbert function of a reduced plane point set in degree t."""
-    if t < 0:
-        return 0
-    if not points:
-        return 0
-    _check_cap(dim_total(3, t))
-    return rank(vanishing_rows(TOTAL3, t, points, 1, field), field)
-
-
-@lru_cache(maxsize=256)
-def ci_plane_hf(a: int, b: int, t: int) -> int:
-    """Hilbert function of a complete intersection of type (a,b) in P^2."""
-    if t < 0:
-        return 0
-    def s(e):
-        return dim_total(3, e)
-    return s(t) - (s(t - a) + s(t - b) - s(t - a - b))
-
-
-def is_ci_hilbert(pts: PlanePointSet, a: int, b: int, field) -> bool:
-    """True iff the reduced image has the Hilbert function of a CI(a,b)
-    through degree a+b-2 and the point count is a*b."""
-    if len(pts.points) != a * b:
-        return False
-    for t in range(a + b - 1):
-        if plane_points_hf(pts.points, t, field) != ci_plane_hf(a, b, t):
-            return False
-    return True

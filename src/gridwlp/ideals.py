@@ -75,13 +75,6 @@ class FatPointsSpec:
             raise ValueError("points must be distinct")
 
 
-@dataclass(frozen=True)
-class PerpSpec:
-    """The ideal of operators annihilating a fixed form F."""
-
-    form: PolyVector
-
-
 def grid_fat_spec(grid: GridConfig, m: int) -> FatPointsSpec:
     return FatPointsSpec(points=tuple(grid.points()), multiplicity=m)
 
@@ -279,10 +272,11 @@ class PowersHilbertTable:
         self._zero_from = None
 
     def quotient_dim(self, t: int) -> int:
-        """a_t for every t; from d on, after the column-cap guard on R_t."""
+        """a_t for every t: 0 past the table's first zero, which needs no
+        matrix; any other degree from d on is read from `basis`, after its
+        column-cap guard."""
         if t < self.d:
             return dim_total(4, t)  # 0 for t < 0
-        _check_cap(dim_total(4, t))
         if self._is_zero(t):
             return 0
         if t not in self.dims:
@@ -291,8 +285,10 @@ class PowersHilbertTable:
 
     def basis(self, t: int) -> np.ndarray:
         """A basis (rows) of J^perp_t, t >= 0, in the monomial basis of B_t,
-        after the column-cap guard on R_t. Asked for again, the last basis is
-        returned as it is; walking up by degree computes each basis once."""
+        after the column-cap guard on R_t: even an empty basis has |B_t|
+        columns, and the maps build matrices on R_t. Asked for again, the
+        last basis is returned as it is; walking up by degree computes each
+        basis once."""
         _check_cap(dim_total(4, t))
         if self._kept is not None and self._kept[0] == t:
             return self._kept[1]
@@ -558,8 +554,6 @@ class HilbertTable:
     dims: dict = dc_field(default_factory=dict)
 
     def delta(self) -> dict:
-        if not all(isinstance(t, int) for t in self.dims):
-            return {}  # first differences only make sense for a single grading
         out = {}
         for t in sorted(self.dims):
             prev = self.dims.get(t - 1, 0)
@@ -597,36 +591,18 @@ def quotient_socle_cap(d: int) -> int:
     return 4 * (d - 1)
 
 
-def hilbert_table(spec, t_range=None, field=None) -> HilbertTable:
-    """Hilbert table for a quotient by a powers ideal, a fat-points ideal, or
-    a quotient by a perp ideal."""
-    if isinstance(spec, PowersIdealSpec):
-        grid, d = spec.grid, spec.d
-        if t_range is None:
-            t_range = range(0, quotient_socle_cap(d) + 1)
-        table = HilbertTable(kind="quotient")
-        for t in t_range:
-            n_t = dim_total(4, t)
-            table.dims[t] = n_t - powers_ideal_dim(grid, d, t)
-            if table.dims[t] == 0 and t > d:
-                break
-        return table
-    if isinstance(spec, FatPointsSpec):
-        if t_range is None:
-            raise ValueError("fat-points table needs an explicit degree range")
-        table = HilbertTable(kind="ideal")
-        for t in t_range:
-            table.dims[t] = fat_points_dim(spec, t, field)
-        return table
-    if isinstance(spec, PerpSpec):
-        f = spec.form
-        if t_range is None:
-            t_range = range(0, f.degree + 2)
-        table = HilbertTable(kind="quotient")
-        for t in t_range:
-            table.dims[t] = perp_quotient_hf(f, t)
-        return table
-    raise TypeError(f"unsupported spec {type(spec).__name__}")
+def hilbert_table(spec: PowersIdealSpec, t_range=None) -> HilbertTable:
+    """Hilbert table of the quotient by a powers ideal."""
+    grid, d = spec.grid, spec.d
+    if t_range is None:
+        t_range = range(0, quotient_socle_cap(d) + 1)
+    table = HilbertTable(kind="quotient")
+    for t in t_range:
+        n_t = dim_total(4, t)
+        table.dims[t] = n_t - powers_ideal_dim(grid, d, t)
+        if table.dims[t] == 0 and t > d:
+            break
+    return table
 
 
 def socle_dims(spec: PowersIdealSpec, t_range) -> dict:

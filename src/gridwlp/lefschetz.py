@@ -147,21 +147,11 @@ def _power_map(table, power: PolyVector, t: int) -> MultMapReport:
     )
 
 
-def quotient_dim(grid: GridConfig, d: int, t: int) -> int:
-    """dim [R/I]_t for the powers ideal."""
-    return _powers_table(grid, d).quotient_dim(t)
-
-
 def mult_map_analysis(grid: GridConfig, d: int, ell, t: int) -> MultMapReport:
     """Measure x ell : A_(t-1) -> A_t by exact rank computations."""
     if t < 1:
         raise LefschetzError("degree t must be >= 1")
     return slp_power_map_report(grid, d, ell, 1, t)
-
-
-def sweep_degrees(grid: GridConfig, d: int) -> list:
-    """All degrees t >= 1 with dim A_t > 0: the table's sweep."""
-    return list(_powers_table(grid, d).sweep())
 
 
 def draw_forms(grid: GridConfig, locus, stream: SeedStream, trials: int) -> list:

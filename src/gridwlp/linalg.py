@@ -313,13 +313,6 @@ def rank(matrix, field) -> int:
     return _echelon(_residues(a, field.p), field.p, reduced=False)[1].size
 
 
-def kernel_dim(matrix, field) -> int:
-    a = np.asarray(matrix)
-    if a.size == 0:
-        return a.shape[1] if a.ndim == 2 else 0
-    return a.shape[1] - rank(a, field)
-
-
 def rref(matrix, field):
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     a = np.asarray(matrix)
@@ -333,9 +326,11 @@ def rref(matrix, field):
 
 
 def kernel_basis(matrix, field) -> np.ndarray:
-    """RREF basis of the right kernel (rows are kernel vectors)."""
+    """RREF basis of the right kernel (rows are kernel vectors), after the
+    column-cap guard: the kernel of a zero matrix is an n x n identity."""
     a = np.asarray(matrix)
     n = a.shape[1]
+    _check_cap(n)
     if a.size == 0 or not np.any(a != 0):
         return _identity(n, field)
     r, piv = rref(a, field)
@@ -370,23 +365,6 @@ def subspace_from_rows(rows, ambient, field) -> SubspaceBasis:
     return SubspaceBasis(ambient=ambient, rref=r, dim=r.shape[0])
 
 
-def span_dim(polys, field=None) -> int:
-    """Dimension of the linear span of a family of coefficient vectors."""
-    if not polys:
-        return 0
-    first = polys[0]
-    if hasattr(first, "coeffs"):
-        fld = first.field
-        key = (first.grading, first.degree)
-        for q in polys:
-            if (q.grading, q.degree) != key:
-                raise AmbientMismatchError("span_dim: mixed gradings or degrees")
-        mat = np.stack([np.asarray(q.coeffs) for q in polys])
-        return rank(mat, fld)
-    mat = np.stack([np.asarray(v) for v in polys])
-    return rank(mat, field)
-
-
 def union_dim(a: SubspaceBasis, b: SubspaceBasis, field) -> int:
     """dim(A + B) for two subspaces of the same ambient graded piece."""
     if a.ambient != b.ambient:
@@ -396,7 +374,3 @@ def union_dim(a: SubspaceBasis, b: SubspaceBasis, field) -> int:
     if b.dim == 0:
         return a.dim
     return rank(np.vstack([a.rref, b.rref]), field)
-
-
-def intersection_dim(a: SubspaceBasis, b: SubspaceBasis, field) -> int:
-    return a.dim + b.dim - union_dim(a, b, field)

@@ -1,5 +1,5 @@
 """Monomial bases for graded/bigraded pieces, polynomial arithmetic, and the
-differentiation (apolarity) action.
+evaluation-of-partials rows of fat-point conditions.
 
 The monomial order is graded lexicographic with x1 > x2 > x3 > x4 (and
 x0 > x1 > y0 > y1 in the bigraded ring), fixed once and used for every basis,
@@ -102,9 +102,6 @@ class PolyVector:
             raise ValueError(
                 f"coefficient length {len(self.coeffs)} != basis size {expected}"
             )
-
-    def is_zero(self) -> bool:
-        return not any(c != 0 for c in self.coeffs)
 
     def coeff_of(self, mono: tuple):
         return self.coeffs[basis_index(self.grading, self.degree)[mono]]
@@ -235,40 +232,6 @@ def _falling(e: int, b: int) -> int:
     return out
 
 
-def diff_action(f: PolyVector, g: PolyVector) -> PolyVector:
-    """Apply g as a constant-coefficient differential operator to f.
-
-    Each variable of g acts as the corresponding partial derivative (true
-    derivations, not contraction), so results match the classical apolarity
-    pairing up to nonzero multinomial scalars, with identical kernels.
-    """
-    if f.grading != g.grading:
-        raise GradingMismatchError("diff_action: grading mismatch")
-    field = f.field
-    if f.grading.kind == "total":
-        deg = f.degree - g.degree
-        if deg < 0:
-            raise GradingMismatchError("diff_action: deg G > deg F")
-    else:
-        deg = (f.degree[0] - g.degree[0], f.degree[1] - g.degree[1])
-        if deg[0] < 0 or deg[1] < 0:
-            raise GradingMismatchError("diff_action: deg G > deg F")
-    out = zero_poly(f.grading, deg, field)
-    idx = basis_index(f.grading, deg)
-    for mono_g, cg in g.terms():
-        for mono_f, cf in f.terms():
-            if all(a >= b for a, b in zip(mono_f, mono_g)):
-                scal = 1
-                for a, b in zip(mono_f, mono_g):
-                    scal *= _falling(a, b)
-                target = tuple(a - b for a, b in zip(mono_f, mono_g))
-                j = idx[target]
-                out.coeffs[j] = field.add(
-                    out.coeffs[j], field.mul(field.mul(cf, cg), field.normalize(scal))
-                )
-    return out
-
-
 def evaluate(f: PolyVector, point) -> object:
     field = f.field
     pt = [field.normalize(c) for c in point]
@@ -370,17 +333,3 @@ def vanishing_rows(grading: Grading, degree, points, m: int, field) -> np.ndarra
         rows = np.concatenate(blocks)[np.argsort(np.concatenate(list(groups.values())))]
     npts, nbetas, n = rows.shape
     return rows.reshape(npts * nbetas, n)
-
-
-def partials_at_point(f: PolyVector, point, m: int):
-    """Values at the point of all chart partials of order < m, in the fixed
-    operator order."""
-    if m < 1:
-        raise ValueError("order m must be >= 1")
-    rows = vanishing_rows(f.grading, f.degree, [point], m, f.field)
-    if f.field.rational:
-        return [sum((rows[r, i] * f.coeffs[i] for i in range(rows.shape[1])), f.field.zero)
-                for r in range(rows.shape[0])]
-    # object dtype avoids int64 overflow in the dot products
-    prod = rows.astype(object) @ np.asarray(f.coeffs, dtype=object)
-    return [int(x) % f.field.p for x in prod]

@@ -21,6 +21,7 @@ from .field import PrimeField, RationalField, SeedStream
 from .formulas import (
     coker_formula_geproci,
     compressed_gorenstein_hf,
+    low_degree_ideal_dim,
     wlp_verdict_theorem_a,
 )
 from .geometry import make_grid
@@ -189,7 +190,7 @@ def check_no_syzygy_socle(field, stream, trials=3, a_max=5) -> CheckResult:
     c = _Check(7, "no-syzygy window and socle vanishing")
     grid = _grid(3, 3, field, stream, "syz")
     for t in (4, 5):
-        c.expect(f"dim[I]_{t}", powers_ideal_dim(grid, 4, t), 9 * comb(t - 1, 3))
+        c.expect(f"dim[I]_{t}", powers_ideal_dim(grid, 4, t), low_degree_ideal_dim(3, 3, 4, t))
     soc = socle_dims(PowersIdealSpec(grid, 4), range(0, 5))
     for t, dim in soc.items():
         c.expect(f"socle dim in degree {t}", dim, 0)

@@ -8,28 +8,27 @@ from gridwlp import (
     PrimeField,
     RationalField,
     SeedStream,
-    field_arith,
 )
 from gridwlp.field import RATIONAL_DRAW_MAX, is_prime
 
 
 def test_mod7_examples():
     f = PrimeField(7)
-    assert field_arith(f, 1, 2, "div") == 4  # 2*4 = 1 mod 7
-    assert field_arith(f, 3, 5, "add") == 1
-    assert field_arith(f, 3, 5, "mul") == 1
-    assert field_arith(f, 3, 5, "sub") == 5
+    assert f.div(1, 2) == 4  # 2*4 = 1 mod 7
+    assert f.add(3, 5) == 1
+    assert f.mul(3, 5) == 1
+    assert f.sub(3, 5) == 5
 
 
 def test_rational_division_exact():
     f = RationalField()
-    assert field_arith(f, f.one, f.normalize(3), "div") == Fraction(1, 3)
+    assert f.div(f.one, f.normalize(3)) == Fraction(1, 3)
 
 
 def test_division_by_zero_is_explicit():
     f = PrimeField(7)
     with pytest.raises(FieldDivisionError):
-        field_arith(f, 1, 0, "div")
+        f.div(1, 0)
     with pytest.raises(FieldDivisionError):
         RationalField().inv(Fraction(0))
 

@@ -3,14 +3,13 @@ import pytest
 from gridwlp import (
     PrimeField,
     SeedStream,
-    is_ci_hilbert,
+    geometry,
     make_grid,
-    project_from_point,
     sample_form,
     subgrid,
 )
 from gridwlp.field import PrimeTooSmallError
-from gridwlp.geometry import GridError, InvalidLocusError, ci_plane_hf, plane_points_hf
+from gridwlp.geometry import GridError, InvalidLocusError
 from gridwlp.polyspace import evaluate
 
 
@@ -104,82 +103,32 @@ def test_invalid_locus_rejected(fp, grid33):
         sample_form(grid33, ("moon",), s)
 
 
+def _collinear_pairs(grid, p):
+    # the projection from p identifies two grid points exactly when p lies on
+    # the line through them
+    idx = [(i, j) for i in range(grid.a) for j in range(grid.b)]
+    pts = grid.points()
+    return [
+        (idx[s], idx[t])
+        for s in range(len(pts))
+        for t in range(s + 1, len(pts))
+        if geometry._on_line(p, pts[s], pts[t], grid.field)
+    ]
+
+
 def test_generic_projection_injective(fp, grid33):
-    s = SeedStream(7)
-    p = sample_form(grid33, "generic", s.child("pt"))
-    pps = project_from_point(grid33, p, stream=s.child("h"))
-    assert len(pps.points) == 9
-    assert pps.collisions == ()
+    p = sample_form(grid33, "generic", SeedStream(7).child("pt"))
+    assert _collinear_pairs(grid33, p) == []
 
 
 def test_chord_projection_collapses_exactly_one_pair(fp, grid33):
-    s = SeedStream(8)
-    p = sample_form(grid33, ("chord", (0, 1), (1, 0)), s.child("pt"))
-    pps = project_from_point(grid33, p, stream=s.child("h"))
-    assert len(pps.points) == 8
-    assert pps.collisions == (((0, 1), (1, 0)),)
+    p = sample_form(grid33, ("chord", (0, 1), (1, 0)), SeedStream(8).child("pt"))
+    assert _collinear_pairs(grid33, p) == [((0, 1), (1, 0))]
 
 
 def test_ruling_projection_collapses_the_line(fp, grid33):
-    s = SeedStream(9)
-    p = sample_form(grid33, ("ruling", "lambda", 0), s.child("pt"))
-    pps = project_from_point(grid33, p, stream=s.child("h"))
-    assert len(pps.points) == 7
-    collided = {idx for pair in pps.collisions for idx in pair}
-    assert collided == {(0, 0), (0, 1), (0, 2)}
-
-
-def test_projection_center_must_not_be_grid_point(fp, grid33):
-    with pytest.raises(GridError):
-        project_from_point(grid33, grid33.point(0, 0), stream=SeedStream(10))
-
-
-def test_hf_invariant_under_target_plane(fp, grid33):
-    s = SeedStream(11)
-    p = sample_form(grid33, "generic", s.child("pt"))
-    pps1 = project_from_point(grid33, p, stream=s.child("h1"))
-    pps2 = project_from_point(grid33, p, stream=s.child("h2"))
-    for t in range(5):
-        assert plane_points_hf(pps1.points, t, fp) == plane_points_hf(pps2.points, t, fp)
-
-
-def test_is_ci_hilbert_generic_true(fp, grid33):
-    s = SeedStream(12)
-    p = sample_form(grid33, "generic", s.child("pt"))
-    pps = project_from_point(grid33, p, stream=s.child("h"))
-    assert is_ci_hilbert(pps, 3, 3, fp)
-
-
-def test_is_ci_hilbert_collapsed_centers_false(fp, grid33):
-    s = SeedStream(13)
-    for locus in (("chord", (0, 1), (1, 0)), ("ruling", "lambda", 0)):
-        p = sample_form(grid33, locus, s.child("pt", str(locus)))
-        pps = project_from_point(grid33, p, stream=s.child("h", str(locus)))
-        assert not is_ci_hilbert(pps, 3, 3, fp)
-
-
-def test_is_ci_hilbert_plane_center_has_ci_hilbert_function(fp, grid33):
-    # a tangent-plane center is not a complete-intersection projection, yet
-    # its image (a + b - 1 points on a line plus a smaller grid image) has the
-    # same Hilbert function as a CI(3,3) in every degree, so the HF test
-    # cannot separate it; frozen here as a computed fact
-    s = SeedStream(14)
-    p = sample_form(grid33, ("plane", 0, 0), s.child("pt"))
-    pps = project_from_point(grid33, p, stream=s.child("h"))
-    assert len(pps.points) == 9
-    assert is_ci_hilbert(pps, 3, 3, fp)
-
-
-def test_is_ci_hilbert_random_points_false(fp):
-    s = SeedStream(15)
-    pts = tuple(tuple(s.child("pt", i, k).scalar(fp) for k in range(3)) for i in range(9))
-    from gridwlp.geometry import PlanePointSet
-
-    pps = PlanePointSet(points=pts, collisions=())
-    # generic nine points have h(3) = 9 but a CI(3,3) has h(3) = 8
-    assert plane_points_hf(pts, 3, fp) == 9
-    assert ci_plane_hf(3, 3, 3) == 8
-    assert not is_ci_hilbert(pps, 3, 3, fp)
+    p = sample_form(grid33, ("ruling", "lambda", 0), SeedStream(9).child("pt"))
+    assert _collinear_pairs(grid33, p) == [((0, 0), (0, 1)), ((0, 0), (0, 2)), ((0, 1), (0, 2))]
 
 
 def test_subgrid_shares_parameters(fp):

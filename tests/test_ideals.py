@@ -6,7 +6,6 @@ import pytest
 from gridwlp import (
     DimensionCapError,
     FatPointsSpec,
-    PerpSpec,
     PowersIdealSpec,
     PrimeField,
     RationalField,
@@ -29,7 +28,7 @@ from gridwlp import (
     socle_dims,
     subgrid,
 )
-from gridwlp import geometry, ideals, linalg
+from gridwlp import ideals, linalg
 from gridwlp.ideals import (
     DegenerateSequenceError,
     perp_quotient_hf,
@@ -157,6 +156,16 @@ def test_hilbert_table_sweep_matches_primal_rank(fp):
     assert table.dims[switch - 1] * ideals._DUAL_SWITCH <= _primal_matrix(grid, d, switch).shape[1]
 
 
+def test_degrees_past_the_first_zero_need_no_cap_check(fp, grid33):
+    # 3x3, d = 2: the table is zero from t = 3, and dim R_48 = 20825 is
+    # above the cap; only a table that has not reached its zero refuses t = 48
+    table = ideals.PowersHilbertTable(grid33, 2)
+    assert list(table.sweep()) == [1, 2]
+    assert table.quotient_dim(48) == 0
+    with pytest.raises(DimensionCapError):
+        ideals.PowersHilbertTable(grid33, 2).quotient_dim(48)
+
+
 def test_hilbert_table_rejects_power_zero(fp, grid33):
     for d in (0, -1):
         with pytest.raises(ValueError, match="power d must be >= 1"):
@@ -261,13 +270,13 @@ def test_fat_points_cap_guard_before_assembly(fp, grid33, monkeypatch):
 
     monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
     monkeypatch.setattr(ideals, "vanishing_rows", no_assembly)
-    monkeypatch.setattr(geometry, "vanishing_rows", no_assembly)
     with pytest.raises(DimensionCapError):
         fat_points_dim(grid_fat_spec(grid33, 2), 4, fp)  # 35 monomials of degree 4
     with pytest.raises(DimensionCapError):
         fat_points_hf(grid_bigraded_spec(grid33, 1), (5, 5), fp)  # 36 of bidegree (5, 5)
     with pytest.raises(DimensionCapError):
-        geometry.plane_points_hf([(1, 2, 3)], 7, fp)  # 36 of degree 7 in 3 variables
+        # 36 monomials of degree 7 in 3 variables
+        fat_points_hf(FatPointsSpec(points=((1, 2, 3),), multiplicity=1), 7, fp)
 
 
 @pytest.mark.parametrize(
@@ -317,8 +326,8 @@ def test_fat_points_of_an_empty_piece(field):
         assert fat_points_dim(spec, degree, field) == 0
         assert fat_points_hf(spec, degree, field) == 0
     # nine points on the quadric: no linear form through them, one quadric
-    table = hilbert_table(grid_fat_spec(grid, 1), range(-1, 3), field)
-    assert table.dims == {-1: 0, 0: 0, 1: 0, 2: 1}
+    dims = {t: fat_points_dim(grid_fat_spec(grid, 1), t, field) for t in range(-1, 3)}
+    assert dims == {-1: 0, 0: 0, 1: 0, 2: 1}
 
 
 def test_bigraded_fat_points_examples(fp, grid36):
@@ -365,9 +374,9 @@ def test_perp_piece_examples(fp, grid33):
 
 def test_perp_quotient_tables(fp, grid33):
     q = grid33.quadric()
-    assert hilbert_table(PerpSpec(q)).as_list() == [1, 4, 1, 0]
+    assert [perp_quotient_hf(q, s) for s in range(4)] == [1, 4, 1, 0]
     q2 = poly_mul(q, q)
-    assert hilbert_table(PerpSpec(q2)).as_list() == [1, 4, 10, 4, 1, 0]
+    assert [perp_quotient_hf(q2, s) for s in range(6)] == [1, 4, 10, 4, 1, 0]
 
 
 def test_quotient_hilbert_table_and_delta(fp, grid36):

@@ -23,9 +23,7 @@ from gridwlp.lefschetz import (
     MultMapReport,
     best_map,
     draw_forms,
-    quotient_dim,
     slp_power_map_report,
-    sweep_degrees,
 )
 from gridwlp.linalg import subspace_from_rows
 from gridwlp.polyspace import TOTAL4, dim_total, linear_power
@@ -100,7 +98,7 @@ def test_power_maps_agree_with_full_ring_union(field, a, b, d_values):
     for d in d_values:
         for locus in LOCI:
             (ell,) = draw_forms(grid, locus, SeedStream(41).child(d, str(locus)), 1)
-            for t in sweep_degrees(grid, d):
+            for t in ideals._powers_table(grid, d).sweep():
                 rep = mult_map_analysis(grid, d, ell, t)
                 assert rep.coker_dim == _union_coker(grid, d, ell, 1, t), (d, locus, t)
                 for k in (2, 3):
@@ -187,10 +185,10 @@ def test_injectivity_downset_for_multiple_of_a_minus_1(fp, grid33):
 
 
 def test_sweep_covers_socle(fp, grid33):
-    degs = sweep_degrees(grid33, 4)
-    assert degs == [1, 2, 3, 4, 5, 6]
-    assert quotient_dim(grid33, 4, 6) > 0
-    assert quotient_dim(grid33, 4, 7) == 0
+    table = ideals._powers_table(grid33, 4)
+    assert list(table.sweep()) == [1, 2, 3, 4, 5, 6]
+    assert table.quotient_dim(6) > 0
+    assert table.quotient_dim(7) == 0
 
 
 def test_probe_plane_passes_chord_and_ruling_fail(fp, grid33):

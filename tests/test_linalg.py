@@ -8,18 +8,15 @@ from gridwlp import (
     PrimeField,
     SeedStream,
     kernel_basis,
-    kernel_dim,
     linalg,
     linear_power,
     rank,
-    span_dim,
     union_dim,
 )
 from gridwlp.linalg import (
     _echelon_frac,
     _matmul_modp,
     _mod,
-    intersection_dim,
     rref,
     subspace_from_rows,
 )
@@ -32,8 +29,8 @@ def _rng(seed):
 def test_rank_identity_and_zero(fp):
     assert rank(np.eye(5, dtype=np.int64), fp) == 5
     assert rank(np.zeros((3, 7), dtype=np.int64), fp) == 0
-    assert kernel_dim(np.eye(4, dtype=np.int64), fp) == 0
-    assert kernel_dim(np.zeros((3, 7), dtype=np.int64), fp) == 7
+    assert kernel_basis(np.eye(4, dtype=np.int64), fp).shape == (0, 4)
+    assert np.array_equal(kernel_basis(np.zeros((3, 7), dtype=np.int64), fp), np.eye(7))
 
 
 def test_nine_squares_plus_duplicate(fp, grid33):
@@ -51,10 +48,10 @@ def test_span_of_collinear_power_families(fp):
     # points (1, c, 0, 0): duals on one line; d-th powers span min(count, d+1)
     s = SeedStream(31)
     cs = s.distinct_scalars(fp, 5)
-    cubes = [linear_power((1, c, 0, 0), 3, fp) for c in cs]
-    assert span_dim(cubes) == 4
-    assert span_dim(cubes[:3]) == 3
-    assert span_dim(cubes[:1]) == 1
+    cubes = np.stack([linear_power((1, c, 0, 0), 3, fp).coeffs for c in cs])
+    assert rank(cubes, fp) == 4
+    assert rank(cubes[:3], fp) == 3
+    assert rank(cubes[:1], fp) == 1
 
 
 def test_span_invariance_under_scaling_and_shuffle(fp):
@@ -306,7 +303,7 @@ def test_union_and_intersection(fp):
     b = subspace_from_rows(rows_b, ambient, fp)
     assert union_dim(a, b, fp) == 7
     assert union_dim(a, a, fp) == 3
-    assert intersection_dim(a, b, fp) == 0
+    assert a.dim + b.dim - union_dim(a, b, fp) == 0  # dim(A cap B)
 
 
 def test_union_formula_cross_checked_by_kernel(fp):
@@ -317,9 +314,9 @@ def test_union_formula_cross_checked_by_kernel(fp):
         b_rows = np.vstack([a_rows[:2], rng.integers(0, fp.p, (3, 8)).astype(np.int64)])
         a = subspace_from_rows(a_rows, ("x", 8), fp)
         b = subspace_from_rows(b_rows, ("x", 8), fp)
-        inter = intersection_dim(a, b, fp)
+        inter = a.dim + b.dim - union_dim(a, b, fp)
         stacked = np.hstack([a_rows.T, (-b_rows.T) % fp.p])
-        k = kernel_dim(stacked, fp)
+        k = stacked.shape[1] - rank(stacked, fp)
         ra, rb = rank(a_rows, fp), rank(b_rows, fp)
         assert inter == k - (a_rows.shape[0] - ra) - (b_rows.shape[0] - rb)
 
@@ -331,9 +328,15 @@ def test_ambient_mismatch_rejected(fp):
         union_dim(a, b, fp)
 
 
-def test_dimension_cap_guard(fp):
+def test_dimension_cap_guard(fp, monkeypatch):
     with pytest.raises(DimensionCapError):
         rank(np.zeros((2, 20001), dtype=np.int64), fp)
+    # the kernel of a zero matrix is an n x n identity: refused before it is built
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
+    for shape in ((1, 31), (0, 31)):
+        with pytest.raises(DimensionCapError):
+            kernel_basis(np.zeros(shape, dtype=np.int64), fp)
+    assert kernel_basis(np.zeros((1, 30), dtype=np.int64), fp).shape == (30, 30)
 
 
 def test_rref_pivots_are_unit_columns(fp):

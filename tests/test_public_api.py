@@ -1,0 +1,59 @@
+"""Every public top-level function and class of the package has a caller.
+
+A public name of a module under src/gridwlp that nothing in src/ refers to,
+apart from its own definition and the re-exports in __init__.py, is dead
+code unless it is listed in ALLOWED with the reason it stays.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gridwlp"
+
+ALLOWED = {
+    "fat_points_piece": "pinned by the benchmark tracer (perfbench/tracer.py)",
+    "perp_piece": "pinned by the benchmark tracer (perfbench/tracer.py)",
+    "slp_probe": "pinned by the benchmark tracer (perfbench/tracer.py)",
+    "powers_ideal_piece": "test oracle: the full-ring span of the powers ideal",
+    "union_dim": "test oracle: the full-ring union route of the map ranks",
+    "evaluate": "test oracle: the grid points lie on the quadric",
+    "subgrid": "test oracle: the ideal of a subgrid",
+    "square_coker_and_delta": "paper formula, to be confronted with measurement (ROADMAP item 2)",
+    "nonsquare_coker": "paper formula, to be confronted with measurement (ROADMAP item 2)",
+}
+
+
+def _references(tree):
+    # how often each name is read as a bare name inside `tree`: src/ reaches
+    # another module's top-level names only through `from .module import
+    # name`, and neither the attribute `report.kernel_dim` nor the field it
+    # declares refers to a function of that name
+    return Counter(
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _unreferenced():
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    total = sum((_references(tree) for tree in trees), Counter())
+    return {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and total[node.name] == _references(node)[node.name]
+    }
+
+
+def test_every_public_name_has_a_caller_in_src():
+    unreferenced = _unreferenced()
+    assert unreferenced <= set(ALLOWED), (
+        f"no caller in src/ for {sorted(unreferenced - set(ALLOWED))}: delete it, "
+        "or add it to ALLOWED with the reason it stays"
+    )
+    # an entry whose name gained a caller, or is gone, is dropped from the list
+    assert set(ALLOWED) <= unreferenced, f"stale ALLOWED entries: {sorted(set(ALLOWED) - unreferenced)}"

@@ -17,17 +17,12 @@ from .field import (
 )
 from .geometry import GridConfig, make_grid, sample_form, subgrid
 from .ideals import (
-    FatPointsSpec,
-    HilbertTable,
-    PowersIdealSpec,
+    PowersHilbertTable,
     ci_power_dim_formula,
     ci_power_piece,
     fat_points_dim,
     fat_points_hf,
     fat_points_piece,
-    grid_bigraded_spec,
-    grid_fat_spec,
-    hilbert_table,
     macaulay_dual_check,
     perp_piece,
     powers_ideal_dim,

@@ -24,7 +24,7 @@ from .field import (
 )
 from .formulas import coker_formula_geproci
 from .geometry import InvalidLocusError, make_grid
-from .ideals import PowersIdealSpec, hilbert_table
+from .ideals import PowersHilbertTable
 from .lefschetz import (
     best_map,
     bx_sequence,
@@ -51,14 +51,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _common_flags(sp):
+def _common_flags(sp, formats=("table", "json", "csv"), trials=True, params=True):
+    """The flags shared by the commands; a command that does not read
+    --trials or --params, or prints fewer formats, is not given them."""
     sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     sp.add_argument("--rational", action="store_true", help="exact rational mode")
-    sp.add_argument("--trials", type=int, default=3)
+    if trials:
+        sp.add_argument("--trials", type=int, default=3)
     sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    sp.add_argument("--params", type=str, default=None,
-                    help='explicit grid parameters, e.g. "u=1,2,3;v=1,2,3,4"')
-    sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    if params:
+        sp.add_argument("--params", type=str, default=None,
+                        help='explicit grid parameters, e.g. "u=1,2,3;v=1,2,3,4"')
+    sp.add_argument("--format", choices=formats, default="table")
     sp.add_argument("--out", type=str, default=None)
 
 
@@ -77,7 +81,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--tmax", type=int, default=None)
-    _common_flags(sp)
+    _common_flags(sp, trials=False)
 
     sp = sub.add_parser("coker", help="measured vs predicted cokernel at one degree")
     sp.add_argument("--a", type=int, required=True)
@@ -92,7 +96,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--locus", type=str, required=True,
                     help='generic | plane:i,j | ruling:lambda,i | ruling:mu,j | chord:i,j;k,l (1-based)')
-    _common_flags(sp)
+    _common_flags(sp, formats=("table", "json"))
 
     sp = sub.add_parser("bx", help="WLP bit sequence b_1..b_dmax")
     sp.add_argument("--a", type=int, required=True)
@@ -102,7 +106,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify-paper", help="run the full verification suite")
     sp.add_argument("--a-max", type=int, default=5, dest="a_max")
-    _common_flags(sp)
+    _common_flags(sp, formats=("table", "json"), params=False)
 
     return parser
 
@@ -193,18 +197,26 @@ def cmd_wlp(args) -> int:
 
 def cmd_hf(args) -> int:
     grid = _make_grid(args)
-    spec = PowersIdealSpec(grid, args.d)
-    t_range = range(0, args.tmax + 1) if args.tmax is not None else None
-    table = hilbert_table(spec, t_range)
+    table = PowersHilbertTable(grid, args.d)
+    # by default up to 4(d - 1), the socle degree of (x_1^d, ..., x_4^d)
+    tmax = 4 * (args.d - 1) if args.tmax is None else args.tmax
+    rows = []  # (t, a_t, a_t - a_(t-1)), ending at the first zero past d
+    prev = 0
+    for t in range(0, tmax + 1):
+        dim = table.quotient_dim(t)
+        rows.append((t, dim, dim - prev))
+        prev = dim
+        if dim == 0 and t > args.d:
+            break
     if args.format == "json":
-        _emit(table.to_json(), args)
+        payload = [{"t": t, "dim": h, "delta": dh} for t, h, dh in rows]
+        _emit(json.dumps({"kind": "quotient", "rows": payload}), args)
     elif args.format == "csv":
-        _emit(table.to_csv(), args)
+        _emit("\n".join(["t,dim,delta"] + [f"{t},{h},{dh}" for t, h, dh in rows]), args)
     else:
-        delta = table.delta()
         lines = [f"h of the quotient, grid {grid.a}x{grid.b}, d={args.d}"]
-        for t in sorted(table.dims):
-            lines.append(f"  t={t:2d}  dim {table.dims[t]:5d}  delta {delta[t]:5d}")
+        for t, h, dh in rows:
+            lines.append(f"  t={t:2d}  dim {h:5d}  delta {dh:5d}")
         _emit("\n".join(lines), args)
     return EXIT_OK
 

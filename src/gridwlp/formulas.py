@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .ideals import HilbertTable
-
 
 def ext_binom(n: int, k: int) -> int:
     """C(n, k) for n >= k >= 0, else 0 (including negative n)."""
@@ -134,15 +132,13 @@ def low_degree_ideal_dim(a: int, b: int, d: int, t: int):
     return a * b * ext_binom(t - d + 3, 3)
 
 
-def compressed_gorenstein_hf(t: int) -> HilbertTable:
-    """Hilbert function of the compressed Gorenstein quotient with socle
-    degree 2t in four variables: h_s = min(dim R_s, dim R_(2t-s))."""
+def compressed_gorenstein_hf(t: int) -> dict:
+    """{s: h_s} for s = 0..2t+1, the Hilbert function of the compressed
+    Gorenstein quotient with socle degree 2t in four variables: h_s =
+    min(dim R_s, dim R_(2t-s)), and 0 past 2t."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    table = HilbertTable(kind="quotient")
-    for s in range(0, 2 * t + 2):
-        if s > 2 * t:
-            table.dims[s] = 0
-        else:
-            table.dims[s] = min(comb(s + 3, 3), comb(2 * t - s + 3, 3))
-    return table
+    return {
+        s: min(comb(s + 3, 3), ext_binom(2 * t - s + 3, 3))
+        for s in range(0, 2 * t + 2)
+    }

@@ -1,6 +1,9 @@
 """Graded pieces of the ideals under study: spans of shifted powers of linear
 forms, fat-point vanishing conditions (P^3 and bigraded), powers of a plane
 complete intersection, perp ideals of a form, Hilbert tables, socle dimensions.
+An ideal of a grid is named by the grid and integers: the power d, or the
+multiplicity m with the degree, an integer for the P^3 points and a pair for
+the P^1 x P^1 parameter pairs.
 
 Symbolic powers are always computed via vanishing conditions (kernel of an
 evaluation-of-partials matrix), never via ideal powers plus saturation.
@@ -8,8 +11,6 @@ evaluation-of-partials matrix), never via ideal powers plus saturation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
@@ -46,41 +47,6 @@ from .polyspace import (
 
 class DegenerateSequenceError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PowersIdealSpec:
-    """The ideal generated by the d-th powers of the grid's dual forms."""
-
-    grid: GridConfig
-    d: int
-
-    def __post_init__(self):
-        check_power(self.d)
-
-
-@dataclass(frozen=True)
-class FatPointsSpec:
-    """Points with a uniform multiplicity; bigraded=True means the points are
-    (u, v) parameter pairs on P^1 x P^1."""
-
-    points: tuple
-    multiplicity: int
-    bigraded: bool = False
-
-    def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("points must be distinct")
-
-
-def grid_fat_spec(grid: GridConfig, m: int) -> FatPointsSpec:
-    return FatPointsSpec(points=tuple(grid.points()), multiplicity=m)
-
-
-def grid_bigraded_spec(grid: GridConfig, m: int) -> FatPointsSpec:
-    return FatPointsSpec(points=tuple(grid.param_pairs()), multiplicity=m, bigraded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +220,8 @@ class PowersHilbertTable:
     _DUAL_SWITCH * a_(t-1) <= |B_t|, else the kernel of the primal
     shifted-products matrix. The table keeps a_t of every degree t >= d it
     computed and computes nothing past its first zero. The last basis serves
-    the next degree and repeated requests, and only it is kept: of all the
-    tables, one keeps a basis at a time.
+    the next degree and repeated requests, and only it is kept.
     """
-
-    # the one table that keeps a basis: up to 64 tables are cached, and a
-    # basis in each would pin them all in memory
-    _holder = None
 
     def __init__(self, grid: GridConfig, d: int):
         check_power(d)
@@ -297,10 +258,7 @@ class PowersHilbertTable:
             return field.zeros((0, self._size(t)))
         descend = self._descends(t)
         prev = self.basis(t - 1) if descend else None
-        # from here on no kept basis, in any table, is needed but prev
-        holder = PowersHilbertTable._holder
-        if holder is not None:
-            holder._kept = None
+        self._kept = None  # only prev is needed from here on
         if t < self.d:
             basis = _identity(dim_total(4, t), field)
         elif descend:
@@ -313,7 +271,6 @@ class PowersHilbertTable:
             self.dims[t] = basis.shape[0]
             if basis.shape[0] == 0:
                 self._zero_from = t
-        PowersHilbertTable._holder = self
         self._kept = (t, basis)
         return basis
 
@@ -346,11 +303,12 @@ class PowersHilbertTable:
         return self.grid.field.zeros((0, self._size(t)))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _powers_table(grid: GridConfig, d: int) -> PowersHilbertTable:
     """The Hilbert table of one (grid, d). The frozen GridConfig is part of
     the key: it compares by value, its field included, so a Q grid and an F_p
-    grid with equal parameters differ."""
+    grid with equal parameters differ. Callers ask for one (grid, d) after
+    another and never go back to an earlier one, so one table is kept."""
     return PowersHilbertTable(grid, d)
 
 
@@ -388,8 +346,7 @@ def _contraction(table: PowersHilbertTable, form: PolyVector, t: int) -> np.ndar
     return out
 
 
-def powers_ideal_piece(spec: PowersIdealSpec, t: int) -> SubspaceBasis:
-    grid, d = spec.grid, spec.d
+def powers_ideal_piece(grid: GridConfig, d: int, t: int) -> SubspaceBasis:
     ambient = (TOTAL4, t)
     if t < d:
         return SubspaceBasis(ambient, grid.field.zeros((0, basis_size(TOTAL4, t))), 0)
@@ -401,33 +358,38 @@ def powers_ideal_piece(spec: PowersIdealSpec, t: int) -> SubspaceBasis:
 # fat points
 
 
-def _fat_grading(spec: FatPointsSpec):
-    if spec.bigraded:
-        return BIGRADED
-    return TOTAL4 if len(spec.points[0]) == 4 else TOTAL3
+def _grid_points(grid: GridConfig, degree):
+    """The grid in the grading of `degree`: its points in P^3 for an integer
+    degree, its parameter pairs on P^1 x P^1 for a bidegree."""
+    if isinstance(degree, tuple):
+        return BIGRADED, grid.param_pairs()
+    return TOTAL4, grid.points()
 
 
-def fat_points_matrix(spec: FatPointsSpec, degree, field) -> np.ndarray:
-    grading = _fat_grading(spec)
+def fat_points_matrix(grid: GridConfig, m: int, degree) -> np.ndarray:
+    """Order-m vanishing conditions at every point of the grid on the
+    degree piece, after the column-cap guard."""
+    if m < 1:
+        raise ValueError("multiplicity must be >= 1")
+    grading, points = _grid_points(grid, degree)
     _check_cap(basis_size(grading, degree))
-    return vanishing_rows(grading, degree, spec.points, spec.multiplicity, field)
+    return vanishing_rows(grading, degree, points, m, grid.field)
 
 
-def fat_points_piece(spec: FatPointsSpec, degree, field) -> SubspaceBasis:
+def fat_points_piece(grid: GridConfig, m: int, degree) -> SubspaceBasis:
     """Kernel of the evaluation-of-partials matrix on the graded piece."""
-    mat = fat_points_matrix(spec, degree, field)
-    ker = kernel_basis(mat, field)
-    return SubspaceBasis((_fat_grading(spec), degree), ker, ker.shape[0])
+    ker = kernel_basis(fat_points_matrix(grid, m, degree), grid.field)
+    return SubspaceBasis((_grid_points(grid, degree)[0], degree), ker, ker.shape[0])
 
 
-def fat_points_dim(spec: FatPointsSpec, degree, field) -> int:
-    mat = fat_points_matrix(spec, degree, field)
-    return mat.shape[1] - rank(mat, field)
+def fat_points_dim(grid: GridConfig, m: int, degree) -> int:
+    mat = fat_points_matrix(grid, m, degree)
+    return mat.shape[1] - rank(mat, grid.field)
 
 
-def fat_points_hf(spec: FatPointsSpec, degree, field) -> int:
+def fat_points_hf(grid: GridConfig, m: int, degree) -> int:
     """Hilbert function of the fat-point scheme: conditions actually imposed."""
-    return rank(fat_points_matrix(spec, degree, field), field)
+    return rank(fat_points_matrix(grid, m, degree), grid.field)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +489,7 @@ def perp_piece(f: PolyVector, s: int) -> SubspaceBasis:
     if s < 0:
         raise ValueError("degree must be >= 0")
     n_s = basis_size(f.grading, s)
+    _check_cap(n_s)
     if s > f.degree:
         return SubspaceBasis((f.grading, s), _identity(n_s, field), n_s)
     ker = kernel_basis(contraction_matrix(f, s), field)
@@ -543,75 +506,16 @@ def perp_quotient_hf(f: PolyVector, s: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert tables, socle, duality
+# socle, duality
 
 
-@dataclass
-class HilbertTable:
-    """Map degree -> dimension, tagged with what is stored (quotient or ideal)."""
-
-    kind: str  # "quotient" or "ideal"
-    dims: dict = dc_field(default_factory=dict)
-
-    def delta(self) -> dict:
-        out = {}
-        for t in sorted(self.dims):
-            prev = self.dims.get(t - 1, 0)
-            out[t] = self.dims[t] - prev
-        return out
-
-    def as_list(self) -> list:
-        if not self.dims:
-            return []
-        return [self.dims.get(t, 0) for t in range(0, max(self.dims) + 1)]
-
-    def to_csv(self) -> str:
-        delta = self.delta()
-        lines = ["t,dim,delta"]
-        for t in sorted(self.dims):
-            lines.append(f"{t},{self.dims[t]},{delta[t]}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        delta = self.delta()
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "rows": [
-                    {"t": t, "dim": self.dims[t], "delta": delta[t]}
-                    for t in sorted(self.dims)
-                ],
-            }
-        )
-
-
-def quotient_socle_cap(d: int) -> int:
-    # the ideal contains d-th powers of 4 independent linear forms, so the
-    # socle degree is at most that of the monomial complete intersection
-    return 4 * (d - 1)
-
-
-def hilbert_table(spec: PowersIdealSpec, t_range=None) -> HilbertTable:
-    """Hilbert table of the quotient by a powers ideal."""
-    grid, d = spec.grid, spec.d
-    if t_range is None:
-        t_range = range(0, quotient_socle_cap(d) + 1)
-    table = HilbertTable(kind="quotient")
-    for t in t_range:
-        n_t = dim_total(4, t)
-        table.dims[t] = n_t - powers_ideal_dim(grid, d, t)
-        if table.dims[t] == 0 and t > d:
-            break
-    return table
-
-
-def socle_dims(spec: PowersIdealSpec, t_range) -> dict:
+def socle_dims(grid: GridConfig, d: int, t_range) -> dict:
     """Dimension of ker(A_t -> A_(t+1)^4), f |-> (x_i f)_i, for A the quotient
     by the powers ideal: a_t minus the rank of B_t -> A_(t+1)^4, whose
     transpose stacks the contractions x_i o J^perp_(t+1). The socle does not
     depend on coordinates, so B's variables serve."""
-    field = spec.grid.field
-    table = _powers_table(spec.grid, spec.d)
+    field = grid.field
+    table = _powers_table(grid, d)
     variables = [linear_form([int(i == j) for j in range(4)], field) for i in range(4)]
     out = {}
     for t in t_range:
@@ -625,8 +529,7 @@ def macaulay_dual_check(grid: GridConfig, d: int, t: int):
     by independent routes (product span rank vs vanishing-condition kernel)."""
     if t < d:
         raise ValueError("duality check needs t >= d")
-    field = grid.field
     lhs = dim_total(4, t) - powers_ideal_dim(grid, d, t)
     m = t - d + 1
-    rhs = fat_points_dim(grid_fat_spec(grid, m), t, field)
+    rhs = fat_points_dim(grid, m, t)
     return lhs, rhs, lhs == rhs

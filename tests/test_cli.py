@@ -166,6 +166,29 @@ def test_zero_power_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("nll", "--a", "3", "--b", "3", "--d", "4", "--locus", "generic", "--format", "csv"),
+         "argument --format: invalid choice: 'csv'"),
+        (("verify-paper", "--a-max", "3", "--format", "csv"),
+         "argument --format: invalid choice: 'csv'"),
+        (("verify-paper", "--a-max", "3", "--params", "u=1,2,3;v=1,2,3"),
+         "unrecognized arguments: --params"),
+        (("hf", "--a", "3", "--b", "3", "--d", "2", "--trials", "2"),
+         "unrecognized arguments: --trials"),
+    ],
+    ids=["nll-csv", "verify-paper-csv", "verify-paper-params", "hf-trials"],
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(capsys, argv, message):
+    # each command is given only the flags it reads, so none is ignored
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert message in out.err and out.out == ""
+
+
 def test_module_entry_point(capsys):
     argv = ("wlp", "--a", "3", "--b", "3", "--d", "2", "--format", "json")
     root = Path(__file__).resolve().parents[1]

@@ -77,9 +77,9 @@ def test_low_degree_ideal_dim():
 
 
 def test_compressed_gorenstein_tables():
-    assert compressed_gorenstein_hf(1).as_list() == [1, 4, 1, 0]
-    assert compressed_gorenstein_hf(2).as_list() == [1, 4, 10, 4, 1, 0]
-    assert compressed_gorenstein_hf(3).as_list() == [1, 4, 10, 20, 10, 4, 1, 0]
+    assert list(compressed_gorenstein_hf(1).values()) == [1, 4, 1, 0]
+    assert list(compressed_gorenstein_hf(2).values()) == [1, 4, 10, 4, 1, 0]
+    assert list(compressed_gorenstein_hf(3).values()) == [1, 4, 10, 20, 10, 4, 1, 0]
 
 
 def test_square_coker_agrees_with_geproci_formula():

@@ -41,6 +41,12 @@ CASES = {
     "coker-4x4-d3-t4.json": ("coker", *P44, "--d", "3", "--t", "4", "--format", "json"),
     "bx-3x4-dmax5.json": ("bx", *P34, "--dmax", "5", "--format", "json"),
     "hf-4x4-d6.csv": ("hf", *P44, "--d", "6", "--format", "csv"),
+    "hf-5x5-d8.json": ("hf", *P55, "--d", "8", "--format", "json"),
+    "hf-3x4-d4.txt": ("hf", *P34, "--d", "4"),
+    "hf-3x4-d3-tmax20.txt": ("hf", *P34, "--d", "3", "--tmax", "20"),
+    "hf-3x3-d1-tmax6.csv": ("hf", *P33, "--d", "1", "--tmax", "6", "--format", "csv"),
+    "hf-3x3-d3-rational.json": ("hf", *P33, "--d", "3", "--rational", "--format", "json"),
+    "hf-3x4-d4-rational.txt": ("hf", *P34, "--d", "4", "--rational"),
 }
 
 # name -> (argv, exit code); checks 2, 8 and 10 fail by design

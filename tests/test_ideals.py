@@ -1,3 +1,6 @@
+import gc
+import json
+import weakref
 from math import comb
 
 import numpy as np
@@ -5,8 +8,6 @@ import pytest
 
 from gridwlp import (
     DimensionCapError,
-    FatPointsSpec,
-    PowersIdealSpec,
     PrimeField,
     RationalField,
     SeedStream,
@@ -14,9 +15,6 @@ from gridwlp import (
     ci_power_piece,
     fat_points_dim,
     fat_points_hf,
-    grid_bigraded_spec,
-    grid_fat_spec,
-    hilbert_table,
     macaulay_dual_check,
     make_grid,
     mult_map_analysis,
@@ -29,6 +27,7 @@ from gridwlp import (
     subgrid,
 )
 from gridwlp import ideals, linalg
+from gridwlp.cli import main
 from gridwlp.ideals import (
     DegenerateSequenceError,
     perp_quotient_hf,
@@ -60,7 +59,7 @@ def test_powers_ideal_examples(fp, grid33):
     assert powers_ideal_dim(grid33, 2, 2) == 9
     assert powers_ideal_dim(grid33, 4, 5) == 36
     assert powers_ideal_dim(grid33, 3, 2) == 0
-    piece = powers_ideal_piece(PowersIdealSpec(grid33, 2), 2)
+    piece = powers_ideal_piece(grid33, 2, 2)
     assert piece.dim == 9 and piece.rref.shape == (9, 10)
 
 
@@ -220,14 +219,19 @@ def test_table_sweep_computes_each_basis_once(fp, monkeypatch):
 
 
 def test_one_table_keeps_a_basis_at_a_time(fp):
+    # one table is cached, and a table keeps only its last basis: asking for
+    # a second (grid, d) lets the first table, and its basis, go
     g1 = make_grid(3, 3, fp, seed=SeedStream(93))
     g2 = make_grid(3, 4, fp, seed=SeedStream(94))
-    t1, t2 = ideals.PowersHilbertTable(g1, 3), ideals.PowersHilbertTable(g2, 3)
-    first = t1.basis(4)
-    assert t1.basis(4) is first
-    t2.basis(4)
-    again = t1.basis(4)
-    assert again is not first and np.array_equal(again, first)
+    powers_ideal_dim(g1, 3, 4)
+    first = weakref.ref(ideals._powers_table(g1, 3))
+    assert first()._kept[0] == 4
+    powers_ideal_dim(g2, 3, 4)
+    assert ideals._powers_table.cache_info().currsize == 1
+    gc.collect()
+    assert first() is None
+    table = ideals._powers_table(g2, 3)
+    assert table._kept[0] == 4 and table.basis(4) is table.basis(4)
 
 
 def test_b_coordinates_send_the_corners_to_coordinate_points(fp, qq):
@@ -258,7 +262,7 @@ def test_powers_ideal_dim_cap_guard_before_assembly(fp, monkeypatch):
     with pytest.raises(DimensionCapError):
         mult_map_analysis(grid, 2, ell, 4)
     with pytest.raises(DimensionCapError):
-        socle_dims(PowersIdealSpec(grid, 2), range(3, 4))
+        socle_dims(grid, 2, range(3, 4))
     # below d = 4 nothing is assembled; degree 4 is refused
     with pytest.raises(DimensionCapError):
         slp_probe(grid, 4, 2, trials=1, seed=73)
@@ -271,12 +275,9 @@ def test_fat_points_cap_guard_before_assembly(fp, grid33, monkeypatch):
     monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
     monkeypatch.setattr(ideals, "vanishing_rows", no_assembly)
     with pytest.raises(DimensionCapError):
-        fat_points_dim(grid_fat_spec(grid33, 2), 4, fp)  # 35 monomials of degree 4
+        fat_points_dim(grid33, 2, 4)  # 35 monomials of degree 4
     with pytest.raises(DimensionCapError):
-        fat_points_hf(grid_bigraded_spec(grid33, 1), (5, 5), fp)  # 36 of bidegree (5, 5)
-    with pytest.raises(DimensionCapError):
-        # 36 monomials of degree 7 in 3 variables
-        fat_points_hf(FatPointsSpec(points=((1, 2, 3),), multiplicity=1), 7, fp)
+        fat_points_hf(grid33, 1, (5, 5))  # 36 of bidegree (5, 5)
 
 
 @pytest.mark.parametrize(
@@ -303,45 +304,40 @@ def test_shift_column_map_matches_dict_build(grading, src_deg, t):
 
 
 def test_fat_points_examples(fp, grid33, grid36):
-    assert fat_points_dim(grid_fat_spec(grid36, 1), 4, fp) == 20
-    assert fat_points_dim(grid_fat_spec(grid36, 1), 5, fp) == 38
-    assert fat_points_dim(grid_fat_spec(grid33, 2), 5, fp) == 20
-    assert fat_points_hf(grid_fat_spec(grid33, 2), 5, fp) == 36
+    assert fat_points_dim(grid36, 1, 4) == 20
+    assert fat_points_dim(grid36, 1, 5) == 38
+    assert fat_points_dim(grid33, 2, 5) == 20
+    assert fat_points_hf(grid33, 2, 5) == 36
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()], ids=["p31", "qq"])
 def test_fat_points_of_an_empty_piece(field):
     # a negative degree is an empty graded piece: a (rows x 0) matrix, dim 0
     grid = make_grid(3, 3, field, seed=SeedStream(5))
-    plane = FatPointsSpec(points=((1, 2, 3), (0, 1, 4)), multiplicity=2)
-    cases = [
-        (grid_fat_spec(grid, 1), -1, 9),
-        (grid_fat_spec(grid, 2), -3, 36),
-        (plane, -1, 6),
-        (grid_bigraded_spec(grid, 2), (-1, 2), 27),
-        (grid_bigraded_spec(grid, 1), (3, -1), 9),
-    ]
-    for spec, degree, nrows in cases:
-        assert ideals.fat_points_matrix(spec, degree, field).shape == (nrows, 0)
-        assert fat_points_dim(spec, degree, field) == 0
-        assert fat_points_hf(spec, degree, field) == 0
+    cases = [(1, -1, 9), (2, -3, 36), (2, (-1, 2), 27), (1, (3, -1), 9)]
+    for m, degree, nrows in cases:
+        assert ideals.fat_points_matrix(grid, m, degree).shape == (nrows, 0)
+        assert fat_points_dim(grid, m, degree) == 0
+        assert fat_points_hf(grid, m, degree) == 0
     # nine points on the quadric: no linear form through them, one quadric
-    dims = {t: fat_points_dim(grid_fat_spec(grid, 1), t, field) for t in range(-1, 3)}
+    dims = {t: fat_points_dim(grid, 1, t) for t in range(-1, 3)}
     assert dims == {-1: 0, 0: 0, 1: 0, 2: 1}
 
 
 def test_bigraded_fat_points_examples(fp, grid36):
-    assert fat_points_dim(grid_bigraded_spec(grid36, 2), (6, 6), fp) == 10
-    assert fat_points_dim(grid_bigraded_spec(grid36, 1), (0, 0), fp) == 0
+    assert fat_points_dim(grid36, 2, (6, 6)) == 10
+    assert fat_points_dim(grid36, 1, (0, 0)) == 0
     # high-bidegree conditions are independent: ab * C(m+1, 2) of them
     for m in (1, 2):
         deg = 6 * m - 1
-        assert fat_points_hf(grid_bigraded_spec(grid36, m), (deg, deg), fp) == 18 * comb(m + 1, 2)
+        assert fat_points_hf(grid36, m, (deg, deg)) == 18 * comb(m + 1, 2)
 
 
-def test_distinct_points_required():
-    with pytest.raises(ValueError):
-        FatPointsSpec(points=((1, 2), (1, 2)), multiplicity=1, bigraded=True)
+def test_fat_points_multiplicity_must_be_positive(fp, grid33, monkeypatch):
+    monkeypatch.setattr(ideals, "vanishing_rows", None)  # refused before assembly
+    for m, degree in ((0, 3), (-1, (2, 2))):
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            fat_points_dim(grid33, m, degree)
 
 
 def test_ci_power_oracle_equivalence(fp):
@@ -372,6 +368,16 @@ def test_perp_piece_examples(fp, grid33):
     assert perp_piece(q, 3).dim == dim_total(4, 3)
 
 
+def test_perp_piece_cap_guard_past_the_degree(fp, grid33, monkeypatch):
+    # past deg F the piece is the identity on R_s, which is refused like any
+    # other matrix with more than COLUMN_CAP columns
+    q = grid33.quadric()
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
+    assert perp_piece(q, 3).dim == 20
+    with pytest.raises(DimensionCapError):
+        perp_piece(q, 4)  # 35 monomials of degree 4
+
+
 def test_perp_quotient_tables(fp, grid33):
     q = grid33.quadric()
     assert [perp_quotient_hf(q, s) for s in range(4)] == [1, 4, 1, 0]
@@ -380,18 +386,15 @@ def test_perp_quotient_tables(fp, grid33):
 
 
 def test_quotient_hilbert_table_and_delta(fp, grid36):
-    table = hilbert_table(PowersIdealSpec(grid36, 5))
-    assert table.dims[5] == 38 and table.dims[6] == 27
-    assert table.delta()[6] == -11
-    csv = table.to_csv().splitlines()
-    assert csv[0] == "t,dim,delta"
-    assert "6,27,-11" in csv
+    table = ideals.PowersHilbertTable(grid36, 5)
+    assert table.quotient_dim(5) == 38 and table.quotient_dim(6) == 27
+    assert table.quotient_dim(6) - table.quotient_dim(5) == -11
 
 
 def test_socle_examples(fp, grid33):
-    soc = socle_dims(PowersIdealSpec(grid33, 4), range(0, 5))
+    soc = socle_dims(grid33, 4, range(0, 5))
     assert soc == {t: 0 for t in range(0, 5)}
-    soc2 = socle_dims(PowersIdealSpec(grid33, 2), range(0, 3))
+    soc2 = socle_dims(grid33, 2, range(0, 3))
     assert soc2 == {0: 0, 1: 0, 2: 1}
 
 
@@ -407,13 +410,13 @@ def _shift_matrix(t, var, field):
     return mat
 
 
-def _full_ring_socle(spec, t):
+def _full_ring_socle(grid, d, t):
     # the full-ring route in the original coordinates: f in R_t is in the
     # socle preimage when every x_i f lies in [I]_(t+1); reduce each x_i * R_t
     # modulo the RREF of [I]_(t+1) and take the common kernel
-    field = spec.grid.field
-    ideal_t = powers_ideal_piece(spec, t).dim
-    piece = powers_ideal_piece(spec, t + 1)
+    field = grid.field
+    ideal_t = powers_ideal_piece(grid, d, t).dim
+    piece = powers_ideal_piece(grid, d, t + 1)
     red = piece.rref
     piv = np.argmax(red != 0, axis=1)
     stacked = []
@@ -440,9 +443,8 @@ def test_socle_dims_match_full_ring_oracle(field, cases):
     # socle cap 4(d - 1) is compared
     for a, b, d, tmax in cases:
         grid = make_grid(a, b, field, seed=SeedStream(50 + a + b))
-        spec = PowersIdealSpec(grid, d)
-        got = socle_dims(spec, range(0, tmax + 1))
-        assert got == {t: _full_ring_socle(spec, t) for t in range(0, tmax + 1)}, (a, b, d)
+        got = socle_dims(grid, d, range(0, tmax + 1))
+        assert got == {t: _full_ring_socle(grid, d, t) for t in range(0, tmax + 1)}, (a, b, d)
         assert any(got.values())
 
 
@@ -498,34 +500,33 @@ def test_recursion_identity_where_conditions_independent(fp, grid33, grid36):
         (grid33, 3, 7),
     ]
     for grid, alpha, t in cases:
-        small = grid_fat_spec(grid, alpha - 1)
         deg = len(grid.points()) * comb(alpha + 1, 3)
-        assert fat_points_hf(small, t - 2, fp) == deg  # independence hypothesis
-        lhs = fat_points_dim(grid_fat_spec(grid, alpha), t, fp)
-        mid = fat_points_dim(small, t - 2, fp)
-        z = fat_points_dim(grid_bigraded_spec(grid, alpha), (t, t), fp)
+        assert fat_points_hf(grid, alpha - 1, t - 2) == deg  # independence hypothesis
+        lhs = fat_points_dim(grid, alpha, t)
+        mid = fat_points_dim(grid, alpha - 1, t - 2)
+        z = fat_points_dim(grid, alpha, (t, t))
         assert lhs == mid + z
 
 
 def test_recursion_gap_at_low_degree(fp, grid33, grid36):
     # in low degrees the bigraded term overcounts: the restriction map is not
     # surjective there, and the inequality goes one way only
-    lhs = fat_points_dim(grid_fat_spec(grid33, 2), 3, fp)
-    mid = fat_points_dim(grid_fat_spec(grid33, 1), 1, fp)
-    z = fat_points_dim(grid_bigraded_spec(grid33, 2), (3, 3), fp)
+    lhs = fat_points_dim(grid33, 2, 3)
+    mid = fat_points_dim(grid33, 1, 1)
+    z = fat_points_dim(grid33, 2, (3, 3))
     assert (lhs, mid, z) == (0, 0, 1)
     # the worked 3x6 cell: 27 = 20 + (image of dimension 7), not 20 + 10
-    lhs = fat_points_dim(grid_fat_spec(grid36, 2), 6, fp)
-    mid = fat_points_dim(grid_fat_spec(grid36, 1), 4, fp)
-    z = fat_points_dim(grid_bigraded_spec(grid36, 2), (6, 6), fp)
+    lhs = fat_points_dim(grid36, 2, 6)
+    mid = fat_points_dim(grid36, 1, 4)
+    z = fat_points_dim(grid36, 2, (6, 6))
     assert (lhs, mid, z) == (27, 20, 10)
     assert lhs <= mid + z
 
 
-def test_hilbert_table_serialization(fp, grid33):
-    table = hilbert_table(PowersIdealSpec(grid33, 2))
-    import json
-
-    data = json.loads(table.to_json())
+def test_hilbert_table_serialization(capsys):
+    # the hf command writes the table's rows as JSON
+    argv = ["hf", "--a", "3", "--b", "3", "--d", "2", "--params", "u=1,2,3;v=1,2,3"]
+    assert main([*argv, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["kind"] == "quotient"
     assert data["rows"][0] == {"t": 0, "dim": 1, "delta": 1}

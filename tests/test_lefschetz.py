@@ -17,7 +17,7 @@ from gridwlp import (
     wlp_test,
 )
 from gridwlp import ideals
-from gridwlp.ideals import PowersIdealSpec, shifted_products_matrix
+from gridwlp.ideals import shifted_products_matrix
 from gridwlp.lefschetz import (
     LefschetzError,
     MultMapReport,
@@ -56,7 +56,7 @@ def _union_coker(grid, d, ell, k, t):
     # the full-ring oracle in the original coordinates:
     # dim R_t - dim([I]_t + ell^k * R_(t-k))
     field = grid.field
-    piece = powers_ideal_piece(PowersIdealSpec(grid, d), t)
+    piece = powers_ideal_piece(grid, d, t)
     if t < k:
         return dim_total(4, t) - piece.dim
     rows = shifted_products_matrix([linear_power(ell, k, field)], t, field)

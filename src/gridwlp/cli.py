@@ -169,7 +169,7 @@ def _emit(text: str, args):
 
 def cmd_wlp(args) -> int:
     grid = _make_grid(args)
-    rep = wlp_test(grid, args.d, trials=args.trials, seed=SeedStream(args.seed))
+    rep = wlp_test(PowersHilbertTable(grid, args.d), trials=args.trials, seed=SeedStream(args.seed))
     if args.format == "json":
         _emit(rep.to_json(), args)
     elif args.format == "csv":
@@ -224,8 +224,9 @@ def cmd_hf(args) -> int:
 def cmd_coker(args) -> int:
     grid = _make_grid(args)
     forms = draw_forms(grid, "generic", SeedStream(args.seed).child("form"), args.trials)
+    table = PowersHilbertTable(grid, args.d)
     # at a fixed t the highest rank is the lowest cokernel
-    best = best_map(mult_map_analysis(grid, args.d, ell, args.t) for ell in forms)
+    best = best_map(mult_map_analysis(table, ell, args.t) for ell in forms)
     pred = coker_formula_geproci(grid.a, grid.b, args.d, args.t - args.d)
     payload = {
         "t": args.t,
@@ -254,7 +255,8 @@ def cmd_coker(args) -> int:
 def cmd_nll(args) -> int:
     grid = _make_grid(args)
     locus = _parse_locus(args.locus)
-    rep = non_lefschetz_probe(grid, args.d, locus, trials=args.trials, seed=SeedStream(args.seed))
+    table = PowersHilbertTable(grid, args.d)
+    rep = non_lefschetz_probe(table, locus, trials=args.trials, seed=SeedStream(args.seed))
     if args.format == "json":
         _emit(rep.to_json(), args)
     else:
@@ -293,15 +295,13 @@ def cmd_bx(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    if not args.rational:
-        # guard: explicit-parameter grids up to 6 need distinct residues with
-        # headroom, and random specializations need a large field
-        bound = 2 * 6**4
-        if args.prime <= bound:
-            sys.stderr.write(
-                f"error: prime too small for the verification suite (needs > {bound})\n"
-            )
-            return EXIT_GUARD
+    # guard, in both modes: --rational compares F_p with Q. Explicit-parameter
+    # grids up to 6 need distinct residues with headroom, and random
+    # specializations need a large field
+    bound = 2 * 6**4
+    if args.prime <= bound:
+        sys.stderr.write(f"error: prime too small for the verification suite (needs > {bound})\n")
+        return EXIT_GUARD
     lines = []
 
     def progress(res):

@@ -1,9 +1,10 @@
 """Graded pieces of the ideals under study: spans of shifted powers of linear
 forms, fat-point vanishing conditions (P^3 and bigraded), powers of a plane
 complete intersection, perp ideals of a form, Hilbert tables, socle dimensions.
-An ideal of a grid is named by the grid and integers: the power d, or the
-multiplicity m with the degree, an integer for the P^3 points and a pair for
-the P^1 x P^1 parameter pairs.
+The powers ideal of a grid and power d is read from its PowersHilbertTable,
+which the caller builds and passes to every reader. A fat-point ideal is named
+by the grid, the multiplicity m and the degree, an integer for the P^3 points
+and a pair for the P^1 x P^1 parameter pairs.
 
 Symbolic powers are always computed via vanishing conditions (kernel of an
 evaluation-of-partials matrix), never via ideal powers plus saturation.
@@ -303,19 +304,9 @@ class PowersHilbertTable:
         return self.grid.field.zeros((0, self._size(t)))
 
 
-@lru_cache(maxsize=1)
-def _powers_table(grid: GridConfig, d: int) -> PowersHilbertTable:
-    """The Hilbert table of one (grid, d). The frozen GridConfig is part of
-    the key: it compares by value, its field included, so a Q grid and an F_p
-    grid with equal parameters differ. Callers ask for one (grid, d) after
-    another and never go back to an earlier one, so one table is kept."""
-    return PowersHilbertTable(grid, d)
-
-
-def powers_ideal_dim(grid: GridConfig, d: int, t: int) -> int:
-    """dim of the degree-t piece of the powers ideal, read from the table of
-    (grid, d)."""
-    return dim_total(4, t) - _powers_table(grid, d).quotient_dim(t)
+def powers_ideal_dim(table: PowersHilbertTable, t: int) -> int:
+    """dim of the degree-t piece of the powers ideal, read from its table."""
+    return dim_total(4, t) - table.quotient_dim(t)
 
 
 def _contraction(table: PowersHilbertTable, form: PolyVector, t: int) -> np.ndarray:
@@ -509,13 +500,12 @@ def perp_quotient_hf(f: PolyVector, s: int) -> int:
 # socle, duality
 
 
-def socle_dims(grid: GridConfig, d: int, t_range) -> dict:
+def socle_dims(table: PowersHilbertTable, t_range) -> dict:
     """Dimension of ker(A_t -> A_(t+1)^4), f |-> (x_i f)_i, for A the quotient
     by the powers ideal: a_t minus the rank of B_t -> A_(t+1)^4, whose
     transpose stacks the contractions x_i o J^perp_(t+1). The socle does not
     depend on coordinates, so B's variables serve."""
-    field = grid.field
-    table = _powers_table(grid, d)
+    field = table.grid.field
     variables = [linear_form([int(i == j) for j in range(4)], field) for i in range(4)]
     out = {}
     for t in t_range:
@@ -524,12 +514,11 @@ def socle_dims(grid: GridConfig, d: int, t_range) -> dict:
     return out
 
 
-def macaulay_dual_check(grid: GridConfig, d: int, t: int):
+def macaulay_dual_check(table: PowersHilbertTable, t: int):
     """Both sides of the duality dim[R/powers]_t = dim[fat points]_t, computed
-    by independent routes (product span rank vs vanishing-condition kernel)."""
-    if t < d:
+    by independent routes (Hilbert table vs vanishing-condition kernel)."""
+    if t < table.d:
         raise ValueError("duality check needs t >= d")
-    lhs = dim_total(4, t) - powers_ideal_dim(grid, d, t)
-    m = t - d + 1
-    rhs = fat_points_dim(grid, m, t)
+    lhs = dim_total(4, t) - powers_ideal_dim(table, t)
+    rhs = fat_points_dim(table.grid, t - table.d + 1, t)
     return lhs, rhs, lhs == rhs

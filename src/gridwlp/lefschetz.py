@@ -3,10 +3,10 @@ rank/kernel/cokernel reports, WLP verdicts with a genericity protocol,
 non-Lefschetz locus probes, strong-Lefschetz probes, and B_X bit sequences.
 
 Every map x ell^k : A_(t-k) -> A_t is measured in the ring B of the Hilbert
-table (ideals.PowersHilbertTable): ell goes into B's coordinates, and the rank
-is that of the contraction ell^k o J^perp_t, read from the table's basis of
-the inverse system J^perp_t. The test suite checks it against the full-ring
-count dim R_t - dim([I]_t + ell^k R_(t-k)).
+table (ideals.PowersHilbertTable) the caller passes in: ell goes into B's
+coordinates, and the rank is that of the contraction ell^k o J^perp_t, read
+from the table's basis of the inverse system J^perp_t. The test suite checks
+it against the full-ring count dim R_t - dim([I]_t + ell^k R_(t-k)).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .field import SeedStream
 from .geometry import GridConfig, sample_form
-from .ideals import _b_coordinates, _contraction, _powers_table
+from .ideals import PowersHilbertTable, _b_coordinates, _contraction
 from .linalg import rank
 from .polyspace import PolyVector, linear_power
 
@@ -147,11 +147,12 @@ def _power_map(table, power: PolyVector, t: int) -> MultMapReport:
     )
 
 
-def mult_map_analysis(grid: GridConfig, d: int, ell, t: int) -> MultMapReport:
-    """Measure x ell : A_(t-1) -> A_t by exact rank computations."""
+def mult_map_analysis(table: PowersHilbertTable, ell, t: int, k: int = 1) -> MultMapReport:
+    """Measure x ell^k : A_(t-k) -> A_t by exact rank computations
+    (exploratory for k >= 2; no closed-form reference)."""
     if t < 1:
         raise LefschetzError("degree t must be >= 1")
-    return slp_power_map_report(grid, d, ell, 1, t)
+    return _power_map(table, _power_in_b(table.grid, ell, k), t)
 
 
 def draw_forms(grid: GridConfig, locus, stream: SeedStream, trials: int) -> list:
@@ -179,19 +180,19 @@ def best_map(reports, stop_coker=None) -> MultMapReport:
     return best
 
 
-def wlp_test(grid: GridConfig, d: int, trials: int = 3, seed=0xC0FFEE) -> WlpReport:
+def wlp_test(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> WlpReport:
     """Sweep every degree to the socle; per degree keep the best rank over
     `trials` independent generic forms, drawn once and reused in every
     degree. Maximal rank certified by any single trial; failure requires all
     trials to agree."""
+    grid = table.grid
     forms = draw_forms(grid, "generic", SeedStream.of(seed).child("form"), trials)
-    table = _powers_table(grid, d)
     powers = [_power_in_b(grid, ell, 1) for ell in forms]
     reports = [best_map(_power_map(table, p, t) for p in powers) for t in table.sweep()]
     failing = [rep.t for rep in reports if not rep.maximal]
     out = WlpReport(
         grid=grid,
-        d=d,
+        d=table.d,
         trials=trials,
         degrees=reports,
         verdict=not failing,
@@ -251,12 +252,12 @@ def critical_degrees(a: int, d: int) -> list:
 
 
 def non_lefschetz_probe(
-    grid: GridConfig, d: int, locus, trials: int = 3, seed=0xC0FFEE
+    table: PowersHilbertTable, locus, trials: int = 3, seed=0xC0FFEE
 ) -> NonLefschetzReport:
     """Compare ranks of x ell for ell sampled from a special locus against the
     generic ranks, at the degrees that decide the WLP."""
     stream = SeedStream.of(seed)
-    table = _powers_table(grid, d)
+    grid, d = table.grid, table.d
     degs = critical_degrees(grid.a, d)
     if degs is None:
         degs = table.sweep()
@@ -279,22 +280,15 @@ def non_lefschetz_probe(
     )
 
 
-def slp_power_map_report(grid: GridConfig, d: int, ell, k: int, t: int) -> MultMapReport:
-    """Measure x ell^k : A_(t-k) -> A_t by exact rank computations
-    (exploratory for k >= 2; no closed-form reference)."""
-    power = _power_in_b(grid, ell, k)
-    return _power_map(_powers_table(grid, d), power, t)
-
-
-def slp_probe(grid: GridConfig, d: int, k: int, trials: int = 3, seed=0xC0FFEE):
+def slp_probe(table: PowersHilbertTable, k: int, trials: int = 3, seed=0xC0FFEE):
     """Maximal-rank report for multiplication by the k-th power of a generic
     form, degree by degree; purely exploratory output."""
     if k < 1:
         raise LefschetzError("k must be >= 1")
     if k == 1:
-        return wlp_test(grid, d, trials, seed)
+        return wlp_test(table, trials, seed)
+    grid = table.grid
     forms = draw_forms(grid, "generic", SeedStream.of(seed).child("slp-form"), trials)
-    table = _powers_table(grid, d)
     powers = [_power_in_b(grid, ell, k) for ell in forms]
     return [best_map(_power_map(table, p, t) for p in powers) for t in table.sweep() if t >= k]
 
@@ -331,7 +325,7 @@ def bx_sequence(grid: GridConfig, dmax: int, trials: int = 3, seed=0xC0FFEE) -> 
     stream = SeedStream.of(seed)
     bits = []
     for d in range(1, dmax + 1):
-        rep = wlp_test(grid, d, trials, stream.child("bx", d))
+        rep = wlp_test(PowersHilbertTable(grid, d), trials, stream.child("bx", d))
         bits.append(1 if rep.verdict else 0)
     conjectural = (
         [d for d in range(1, dmax + 1) if d >= grid.a] if grid.a < grid.b else []

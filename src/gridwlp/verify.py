@@ -26,6 +26,7 @@ from .formulas import (
 )
 from .geometry import make_grid
 from .ideals import (
+    PowersHilbertTable,
     ci_power_dim_formula,
     ci_power_piece,
     fat_points_dim,
@@ -92,7 +93,7 @@ def check_theorem_a_sweep(field, stream, trials=3, a_max=5) -> CheckResult:
             continue
         grid = _grid(a, a, field, stream, "thmA")
         for d in range(1, 3 * (a - 1) + 1):
-            rep = wlp_test(grid, d, trials=trials, seed=stream.child("thmA", a, d))
+            rep = wlp_test(PowersHilbertTable(grid, d), trials, stream.child("thmA", a, d))
             c.expect(f"a={a} d={d} verdict", rep.verdict, wlp_verdict_theorem_a(a, d))
     return c.done()
 
@@ -103,10 +104,11 @@ def check_worked_example(field, stream, trials=3, a_max=5) -> CheckResult:
     c.expect("dim[I_X]_4", fat_points_dim(grid, 1, 4), 17)
     c.expect("dim[I_X]_5", fat_points_dim(grid, 1, 5), 38)
     c.expect("dim[I_Z^(2)]_(6,6)", fat_points_dim(grid, 2, (6, 6)), 10)
-    h5 = dim_total(4, 5) - powers_ideal_dim(grid, 5, 5)
-    h6 = dim_total(4, 6) - powers_ideal_dim(grid, 5, 6)
+    table = PowersHilbertTable(grid, 5)
+    h5 = dim_total(4, 5) - powers_ideal_dim(table, 5)
+    h6 = dim_total(4, 6) - powers_ideal_dim(table, 6)
     c.expect("delta h_A(6)", h6 - h5, -11)
-    rep = wlp_test(grid, 5, trials=trials, seed=stream.child("ex36-wlp"))
+    rep = wlp_test(table, trials=trials, seed=stream.child("ex36-wlp"))
     by_t = {r.t: r for r in rep.degrees}
     c.expect("generic coker at t=6", by_t[6].coker_dim, 1)
     c.expect_true("WLP fails at degree 6", 6 in rep.failing and not rep.verdict)
@@ -124,8 +126,9 @@ def check_gorenstein_apolarity(field, stream, trials=3, a_max=5) -> CheckResult:
         expected = compressed_gorenstein_hf(t)
         computed = {s: perp_quotient_hf(qt, s) for s in range(0, 2 * t + 2)}
         c.expect(f"HF of the quotient by (Q^{t})-perp", computed, expected)
+        table = PowersHilbertTable(grid, t + 1)
         for s in range(0, 2 * t + 2):
-            lam = powers_ideal_dim(grid, t + 1, s)
+            lam = powers_ideal_dim(table, s)
             perp_dim = dim_total(4, s) - computed[s]
             c.expect(f"t={t} s={s} power span = perp piece", lam, perp_dim)
     return c.done()
@@ -136,6 +139,7 @@ def check_coker_formula(field, stream, trials=3, a_max=5) -> CheckResult:
     for a in (3, 4):
         grid = _grid(a, a, field, stream, "coker")
         for d in range(a - 1, 3 * (a - 1) + 1):
+            table = PowersHilbertTable(grid, d)
             q = d // (a - 1)
             for t in range(0, q + 1):
                 pred = coker_formula_geproci(a, a, d, t)
@@ -143,7 +147,7 @@ def check_coker_formula(field, stream, trials=3, a_max=5) -> CheckResult:
                     continue
                 forms = draw_forms(grid, "generic", stream.child("ck", a, d, t), trials)
                 best = best_map(
-                    (mult_map_analysis(grid, d, ell, d + t) for ell in forms), stop_coker=pred
+                    (mult_map_analysis(table, ell, d + t) for ell in forms), stop_coker=pred
                 )
                 c.expect(f"a={a} d={d} t={t} coker", best.coker_dim, pred)
     return c.done()
@@ -154,8 +158,9 @@ def check_macaulay_duality(field, stream, trials=3, a_max=5) -> CheckResult:
     for (a, b) in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)):
         grid = _grid(a, b, field, stream, "dual")
         for d in range(1, 7):
+            table = PowersHilbertTable(grid, d)
             for t in range(d, d + 4):
-                lhs, rhs, ok = macaulay_dual_check(grid, d, t)
+                lhs, rhs, ok = macaulay_dual_check(table, t)
                 c.expect(f"{a}x{b} d={d} t={t}", lhs, rhs)
     return c.done()
 
@@ -181,10 +186,10 @@ def check_independent_conditions(field, stream, trials=3, a_max=5) -> CheckResul
 
 def check_no_syzygy_socle(field, stream, trials=3, a_max=5) -> CheckResult:
     c = _Check(7, "no-syzygy window and socle vanishing")
-    grid = _grid(3, 3, field, stream, "syz")
+    table = PowersHilbertTable(_grid(3, 3, field, stream, "syz"), 4)
     for t in (4, 5):
-        c.expect(f"dim[I]_{t}", powers_ideal_dim(grid, 4, t), low_degree_ideal_dim(3, 3, 4, t))
-    soc = socle_dims(grid, 4, range(0, 5))
+        c.expect(f"dim[I]_{t}", powers_ideal_dim(table, t), low_degree_ideal_dim(3, 3, 4, t))
+    soc = socle_dims(table, range(0, 5))
     for t, dim in soc.items():
         c.expect(f"socle dim in degree {t}", dim, 0)
     return c.done()
@@ -194,23 +199,26 @@ def check_non_lefschetz_probes(field, stream, trials=3, a_max=5) -> CheckResult:
     c = _Check(8, "non-Lefschetz locus probes, a=3")
     grid = _grid(3, 3, field, stream, "nll")
     for d in (1, 2):
+        table = PowersHilbertTable(grid, d)
         for locus in (
             "generic",
             ("plane", 0, 0),
             ("chord", (0, 1), (1, 0)),
             ("ruling", "lambda", 0),
         ):
-            rep = non_lefschetz_probe(grid, d, locus, trials, stream.child("nll", d, str(locus)))
+            rep = non_lefschetz_probe(table, locus, trials, stream.child("nll", d, str(locus)))
             c.expect_true(f"d={d} {locus} maximal everywhere", not rep.member_of_locus)
-    rep = non_lefschetz_probe(grid, 4, ("plane", 0, 0), trials, stream.child("nll4p"))
+    table = PowersHilbertTable(grid, 4)
+    rep = non_lefschetz_probe(table, ("plane", 0, 0), trials, stream.child("nll4p"))
     c.expect_true("d=4 plane probe passes both critical degrees", not rep.member_of_locus)
-    rep = non_lefschetz_probe(grid, 4, ("chord", (0, 1), (1, 0)), trials, stream.child("nll4c"))
+    rep = non_lefschetz_probe(table, ("chord", (0, 1), (1, 0)), trials, stream.child("nll4c"))
     by_t = {e.t: e for e in rep.entries}
     c.expect_true("d=4 chord fails surjectivity at t=5", by_t[5].specialized.coker_dim > 0)
     c.expect("d=4 chord specialized coker at t=5", by_t[5].specialized.coker_dim, 9)
-    rep = non_lefschetz_probe(grid, 4, ("ruling", "lambda", 0), trials, stream.child("nll4r"))
+    rep = non_lefschetz_probe(table, ("ruling", "lambda", 0), trials, stream.child("nll4r"))
     c.expect_true("d=4 ruling probe fails", rep.member_of_locus)
-    rep = non_lefschetz_probe(grid, 6, ("plane", 0, 0), trials, stream.child("nll6p"))
+    table = PowersHilbertTable(grid, 6)
+    rep = non_lefschetz_probe(table, ("plane", 0, 0), trials, stream.child("nll6p"))
     by_t = {e.t: e for e in rep.entries}
     c.expect_true("d=6 plane probe fails at t=8", not by_t[8].achieves_generic)
     return c.done()
@@ -274,14 +282,22 @@ def mode_agreement_dims(field) -> dict:
     out["3x6 dim[I_X]_4"] = fat_points_dim(grid, 1, 4)
     out["3x6 dim[I_X]_5"] = fat_points_dim(grid, 1, 5)
     out["3x6 dim[I_Z^(2)]_(6,6)"] = fat_points_dim(grid, 2, (6, 6))
-    out["3x6 dim[ideal_5]_6"] = powers_ideal_dim(grid, 5, 6)
+    out["3x6 dim[ideal_5]_6"] = powers_ideal_dim(PowersHilbertTable(grid, 5), 6)
     grid3 = make_grid(3, 3, field, u=[1, 2, 3], v=[1, 2, 3])
-    out["3x3 dim[ideal_4]_5"] = powers_ideal_dim(grid3, 4, 5)
+    out["3x3 dim[ideal_4]_5"] = powers_ideal_dim(PowersHilbertTable(grid3, 4), 5)
     q = grid3.quadric()
     out["quadric perp h"] = tuple(perp_quotient_hf(q, s) for s in range(4))
     q2 = poly_mul(q, q)
     out["quadric^2 perp h"] = tuple(perp_quotient_hf(q2, s) for s in range(6))
     return out
+
+
+def _expect_modes_agree(c: _Check, field):
+    """One line per mode_agreement_dims entry: `field` against Q."""
+    prime_dims = mode_agreement_dims(field)
+    rational_dims = mode_agreement_dims(RationalField())
+    for label, value in prime_dims.items():
+        c.expect(f"rational vs prime: {label}", rational_dims[label], value)
 
 
 _SEED2 = 0xD15EA5E
@@ -377,10 +393,7 @@ def check_determinism_and_modes(
     for prior, sig in zip(first_run, redo):
         same = sig[1:] == prior.signature()[1:]
         c.expect_true(f"check {prior.index} outcome stable across seeds", same)
-    prime_dims = mode_agreement_dims(field)
-    rational_dims = mode_agreement_dims(RationalField())
-    for label, value in prime_dims.items():
-        c.expect(f"rational vs prime: {label}", rational_dims[label], value)
+    _expect_modes_agree(c, field)
     return c.done()
 
 
@@ -390,9 +403,9 @@ def run_suite(prime=None, seed=0xC0FFEE, trials=3, a_max=5, rational=False, prog
     The second-seed pass of check 11 runs in a forked child, concurrently
     with the first pass, where os.fork exists; no child outlives the call.
     """
-    if rational:
-        return run_rational_subset(progress=progress)
     field = PrimeField(prime) if prime else PrimeField()
+    if rational:
+        return run_rational_subset(field, progress=progress)
     rerun = _ForkedRerun(field, trials, a_max) if hasattr(os, "fork") else None
     try:
         results = _run_checks(field, SeedStream(seed), trials, a_max, progress)
@@ -407,13 +420,11 @@ def run_suite(prime=None, seed=0xC0FFEE, trials=3, a_max=5, rational=False, prog
     return results
 
 
-def run_rational_subset(progress=None):
-    """Exact-arithmetic cross-check: the a=3 dimension subset in both modes."""
+def run_rational_subset(field, progress=None):
+    """Exact-arithmetic cross-check: the fixed a=3 dimension subset over
+    `field` and over Q."""
     c = _Check(11, "rational-mode agreement subset")
-    prime_dims = mode_agreement_dims(PrimeField())
-    rational_dims = mode_agreement_dims(RationalField())
-    for label, value in prime_dims.items():
-        c.expect(f"rational vs prime: {label}", rational_dims[label], value)
+    _expect_modes_agree(c, field)
     results = [c.done()]
     if progress:
         progress(results[-1])

@@ -216,6 +216,13 @@ def test_rational_mode_subset(capsys):
     assert "PASS" in out
 
 
+def test_rational_mode_keeps_the_prime_guard(capsys):
+    # --rational compares F_p with Q, so a prime below the bound is refused
+    code, out, err = run_cli(capsys, "verify-paper", "--rational", "--prime", "101")
+    assert code == 3
+    assert err.startswith("error: prime too small") and "Traceback" not in err and out == ""
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(

@@ -35,6 +35,16 @@ def test_explicit_params_and_duplicates(fp):
         make_grid(1, 3, fp, u=[1], v=[4, 5, 6])
 
 
+def test_grids_compare_by_value_field_included(fp, qq):
+    # equal parameters over the same field give equal, hash-equal grids; Q
+    # and F_p grids with equal parameters differ
+    u, v = [1, 2], [3, 5, 7]
+    g1, g2 = make_grid(2, 3, fp, u=u, v=v), make_grid(2, 3, fp, u=u, v=v)
+    others = (make_grid(2, 3, qq, u=u, v=v), make_grid(2, 3, PrimeField(10007), u=u, v=v))
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    assert all(g1 != g for g in others)
+
+
 def test_prime_too_small_for_explicit_params():
     small = PrimeField(101)
     with pytest.raises(PrimeTooSmallError):

@@ -1,6 +1,5 @@
 import gc
 import json
-import weakref
 from math import comb
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from gridwlp import (
     DimensionCapError,
+    PowersHilbertTable,
     PrimeField,
     RationalField,
     SeedStream,
@@ -25,6 +25,7 @@ from gridwlp import (
     slp_probe,
     socle_dims,
     subgrid,
+    wlp_test,
 )
 from gridwlp import ideals, linalg
 from gridwlp.cli import main
@@ -56,9 +57,9 @@ def _random_form(deg, field, stream, grading=TOTAL3):
 
 
 def test_powers_ideal_examples(fp, grid33):
-    assert powers_ideal_dim(grid33, 2, 2) == 9
-    assert powers_ideal_dim(grid33, 4, 5) == 36
-    assert powers_ideal_dim(grid33, 3, 2) == 0
+    assert powers_ideal_dim(PowersHilbertTable(grid33, 2), 2) == 9
+    assert powers_ideal_dim(PowersHilbertTable(grid33, 4), 5) == 36
+    assert powers_ideal_dim(PowersHilbertTable(grid33, 3), 2) == 0
     piece = powers_ideal_piece(grid33, 2, 2)
     assert piece.dim == 9 and piece.rref.shape == (9, 10)
 
@@ -85,26 +86,9 @@ def test_powers_ideal_dim_matches_full_ring(field, shapes, d_max):
     grids.append(make_grid(2, 3, field, u=[1, 2], v=[-1, 3, 5]))
     for grid in grids:
         for d in range(1, d_max + 1):
+            table = PowersHilbertTable(grid, d)
             for t in range(0, 4 * (d - 1) + 3):
-                assert powers_ideal_dim(grid, d, t) == _full_ring_dim(grid, d, t), (grid, d, t)
-
-
-def test_powers_ideal_dim_cache_keys_on_grid_value(fp, qq):
-    # equal parameters over the same field share one Hilbert table; the field
-    # is part of the key, so Q and F_p grids with equal parameters do not
-    u, v = [1, 2], [3, 5, 7]
-    g1, g2 = make_grid(2, 3, fp, u=u, v=v), make_grid(2, 3, fp, u=u, v=v)
-    others = (make_grid(2, 3, qq, u=u, v=v), make_grid(2, 3, PrimeField(10007), u=u, v=v))
-    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
-    assert all(g1 != g for g in others)
-    powers_ideal_dim(g1, 2, 3)
-    before = ideals._powers_table.cache_info()
-    powers_ideal_dim(g2, 2, 3)
-    after = ideals._powers_table.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    table = ideals._powers_table(g2, 2)
-    assert 3 in table.dims
-    assert all(ideals._powers_table(g, 2) is not table for g in others)
+                assert powers_ideal_dim(table, t) == _full_ring_dim(grid, d, t), (grid, d, t)
 
 
 def _primal_matrix(grid, d, t):
@@ -146,7 +130,7 @@ def test_hilbert_table_sweep_matches_primal_rank(fp):
     # and the descended tail against the primal rank in every degree
     grid = make_grid(5, 5, fp, seed=SeedStream(90))
     d = 8
-    table = ideals.PowersHilbertTable(grid, d)
+    table = PowersHilbertTable(grid, d)
     for t in range(d, 4 * (d - 1) + 2):
         mat = _primal_matrix(grid, d, t)
         assert table.quotient_dim(t) == mat.shape[1] - rank(mat, fp), t
@@ -158,19 +142,17 @@ def test_hilbert_table_sweep_matches_primal_rank(fp):
 def test_degrees_past_the_first_zero_need_no_cap_check(fp, grid33):
     # 3x3, d = 2: the table is zero from t = 3, and dim R_48 = 20825 is
     # above the cap; only a table that has not reached its zero refuses t = 48
-    table = ideals.PowersHilbertTable(grid33, 2)
+    table = PowersHilbertTable(grid33, 2)
     assert list(table.sweep()) == [1, 2]
     assert table.quotient_dim(48) == 0
     with pytest.raises(DimensionCapError):
-        ideals.PowersHilbertTable(grid33, 2).quotient_dim(48)
+        PowersHilbertTable(grid33, 2).quotient_dim(48)
 
 
 def test_hilbert_table_rejects_power_zero(fp, grid33):
     for d in (0, -1):
         with pytest.raises(ValueError, match="power d must be >= 1"):
-            ideals.PowersHilbertTable(grid33, d)
-        with pytest.raises(ValueError, match="power d must be >= 1"):
-            powers_ideal_dim(grid33, d, 2)
+            PowersHilbertTable(grid33, d)
 
 
 def _same_span(x, y, field):
@@ -182,7 +164,7 @@ def test_table_basis_spans_the_inverse_system(fp):
     # every basis spans J^perp_t and records a_t
     grid = make_grid(4, 4, fp, seed=SeedStream(91))
     d = 6
-    table = ideals.PowersHilbertTable(grid, d)
+    table = PowersHilbertTable(grid, d)
     for t in range(0, 4 * (d - 1) + 2):
         basis = table.basis(t)
         if t < d:
@@ -204,7 +186,7 @@ def test_table_sweep_computes_each_basis_once(fp, monkeypatch):
     # the degree before it, and each later degree descends once
     grid = make_grid(5, 5, fp, seed=SeedStream(92))
     d = 6
-    table = ideals.PowersHilbertTable(grid, d)
+    table = PowersHilbertTable(grid, d)
     built, descended = [], []
     primal, descend = table._primal, ideals._descend
     monkeypatch.setattr(table, "_primal", lambda t: built.append(t) or primal(t))
@@ -218,20 +200,20 @@ def test_table_sweep_computes_each_basis_once(fp, monkeypatch):
     assert built == list(range(d, table.switch))
 
 
-def test_one_table_keeps_a_basis_at_a_time(fp):
-    # one table is cached, and a table keeps only its last basis: asking for
-    # a second (grid, d) lets the first table, and its basis, go
-    g1 = make_grid(3, 3, fp, seed=SeedStream(93))
-    g2 = make_grid(3, 4, fp, seed=SeedStream(94))
-    powers_ideal_dim(g1, 3, 4)
-    first = weakref.ref(ideals._powers_table(g1, 3))
-    assert first()._kept[0] == 4
-    powers_ideal_dim(g2, 3, 4)
-    assert ideals._powers_table.cache_info().currsize == 1
+def _live_tables():
     gc.collect()
-    assert first() is None
-    table = ideals._powers_table(g2, 3)
-    assert table._kept[0] == 4 and table.basis(4) is table.basis(4)
+    return [obj for obj in gc.get_objects() if isinstance(obj, PowersHilbertTable)]
+
+
+def test_no_table_outlives_its_caller(fp, capsys):
+    # only the caller holds a table: once the readers and a command return,
+    # no table, and so no kept basis, is left in memory
+    grid = make_grid(3, 3, fp, seed=SeedStream(93))
+    assert wlp_test(PowersHilbertTable(grid, 3), trials=1, seed=94).failing
+    assert socle_dims(PowersHilbertTable(grid, 2), range(0, 3)) == {0: 0, 1: 0, 2: 1}
+    assert main(["wlp", "--a", "3", "--b", "4", "--d", "3"]) == 0
+    capsys.readouterr()
+    assert _live_tables() == []
 
 
 def test_b_coordinates_send_the_corners_to_coordinate_points(fp, qq):
@@ -257,15 +239,15 @@ def test_powers_ideal_dim_cap_guard_before_assembly(fp, monkeypatch):
     monkeypatch.setattr(ideals, "shifted_products_matrix", no_assembly)
     monkeypatch.setattr(ideals, "_normalised_generators", no_assembly)
     with pytest.raises(DimensionCapError):
-        powers_ideal_dim(grid, 2, 4)  # 35 monomials of degree 4
+        powers_ideal_dim(PowersHilbertTable(grid, 2), 4)  # 35 monomials of degree 4
     # the map routes check degree t before they build anything at t - 1
     with pytest.raises(DimensionCapError):
-        mult_map_analysis(grid, 2, ell, 4)
+        mult_map_analysis(PowersHilbertTable(grid, 2), ell, 4)
     with pytest.raises(DimensionCapError):
-        socle_dims(grid, 2, range(3, 4))
+        socle_dims(PowersHilbertTable(grid, 2), range(3, 4))
     # below d = 4 nothing is assembled; degree 4 is refused
     with pytest.raises(DimensionCapError):
-        slp_probe(grid, 4, 2, trials=1, seed=73)
+        slp_probe(PowersHilbertTable(grid, 4), 2, trials=1, seed=73)
 
 
 def test_fat_points_cap_guard_before_assembly(fp, grid33, monkeypatch):
@@ -386,15 +368,15 @@ def test_perp_quotient_tables(fp, grid33):
 
 
 def test_quotient_hilbert_table_and_delta(fp, grid36):
-    table = ideals.PowersHilbertTable(grid36, 5)
+    table = PowersHilbertTable(grid36, 5)
     assert table.quotient_dim(5) == 38 and table.quotient_dim(6) == 27
     assert table.quotient_dim(6) - table.quotient_dim(5) == -11
 
 
 def test_socle_examples(fp, grid33):
-    soc = socle_dims(grid33, 4, range(0, 5))
+    soc = socle_dims(PowersHilbertTable(grid33, 4), range(0, 5))
     assert soc == {t: 0 for t in range(0, 5)}
-    soc2 = socle_dims(grid33, 2, range(0, 3))
+    soc2 = socle_dims(PowersHilbertTable(grid33, 2), range(0, 3))
     assert soc2 == {0: 0, 1: 0, 2: 1}
 
 
@@ -443,37 +425,39 @@ def test_socle_dims_match_full_ring_oracle(field, cases):
     # socle cap 4(d - 1) is compared
     for a, b, d, tmax in cases:
         grid = make_grid(a, b, field, seed=SeedStream(50 + a + b))
-        got = socle_dims(grid, d, range(0, tmax + 1))
+        got = socle_dims(PowersHilbertTable(grid, d), range(0, tmax + 1))
         assert got == {t: _full_ring_socle(grid, d, t) for t in range(0, tmax + 1)}, (a, b, d)
         assert any(got.values())
 
 
 def test_macaulay_dual_check_examples(fp, grid33, grid36):
-    assert macaulay_dual_check(grid33, 4, 5) == (20, 20, True)
-    lhs, rhs, ok = macaulay_dual_check(grid36, 5, 6)
+    assert macaulay_dual_check(PowersHilbertTable(grid33, 4), 5) == (20, 20, True)
+    lhs, rhs, ok = macaulay_dual_check(PowersHilbertTable(grid36, 5), 6)
     assert (lhs, rhs, ok) == (27, 27, True)
     # t = d reduces to points against forms of degree d
-    lhs, rhs, ok = macaulay_dual_check(grid33, 3, 3)
-    assert ok and lhs == dim_total(4, 3) - powers_ideal_dim(grid33, 3, 3)
+    table = PowersHilbertTable(grid33, 3)
+    lhs, rhs, ok = macaulay_dual_check(table, 3)
+    assert ok and lhs == dim_total(4, 3) - powers_ideal_dim(table, 3)
     with pytest.raises(ValueError):
-        macaulay_dual_check(grid33, 4, 3)
+        macaulay_dual_check(PowersHilbertTable(grid33, 4), 3)
 
 
 def test_duality_property_sweep_small(fp):
     grid = make_grid(2, 3, fp, seed=SeedStream(33))
     for d in (1, 2, 3):
+        table = PowersHilbertTable(grid, d)
         for t in range(d, d + 3):
-            assert macaulay_dual_check(grid, d, t)[2]
+            assert macaulay_dual_check(table, t)[2]
 
 
 def test_subgrid_generation_invariant(fp):
     grid = make_grid(3, 5, fp, seed=SeedStream(34))
-    small = subgrid(grid, 3, 4)
+    big, small = PowersHilbertTable(grid, 3), PowersHilbertTable(subgrid(grid, 3, 4), 3)
     for t in range(0, 7):
-        assert powers_ideal_dim(grid, 3, t) == powers_ideal_dim(small, 3, t)
-    smaller = subgrid(grid, 3, 3)
+        assert powers_ideal_dim(big, t) == powers_ideal_dim(small, t)
+    big, smaller = PowersHilbertTable(grid, 2), PowersHilbertTable(subgrid(grid, 3, 3), 2)
     for t in range(0, 6):
-        assert powers_ideal_dim(grid, 2, t) == powers_ideal_dim(smaller, 2, t)
+        assert powers_ideal_dim(big, t) == powers_ideal_dim(smaller, t)
 
 
 def test_perp_equals_power_span_for_matching_grid(fp):
@@ -485,8 +469,9 @@ def test_perp_equals_power_span_for_matching_grid(fp):
         qt = q
         for _ in range(t - 1):
             qt = poly_mul(qt, q)
+        table = PowersHilbertTable(grid, t + 1)
         for s in range(0, 2 * t + 2):
-            assert powers_ideal_dim(grid, t + 1, s) == dim_total(4, s) - perp_quotient_hf(qt, s)
+            assert powers_ideal_dim(table, s) == dim_total(4, s) - perp_quotient_hf(qt, s)
 
 
 def test_recursion_identity_where_conditions_independent(fp, grid33, grid36):

@@ -1,6 +1,7 @@
 """Check 11's second-seed pass in a forked child: the same outcomes as the
 in-process rerun, its exceptions reach the parent, and no child outlives
-`run_suite` on any path."""
+`run_suite` on any path. Also: each check reads one Hilbert table per
+(grid, d), and rational mode compares the suite's prime with Q."""
 
 import os
 import signal
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gridwlp import PrimeField, rank, verify
+from gridwlp import PowersHilbertTable, PrimeField, SeedStream, bx_sequence, rank, verify
 from gridwlp.cli import main
 from gridwlp.linalg import DimensionCapError, _openblas_threads
 from gridwlp.verify import CheckResult, _Check, _ForkedRerun, _rerun_signatures, run_suite
@@ -183,3 +184,49 @@ def test_both_passes_run_one_blas_thread(monkeypatch, product_threads):
     assert [r.passed for r in results] == [True, True]
     assert results[1].details[0] == "check 1 outcome stable across seeds: ok"
     _assert_no_child_left()
+
+
+def _tables_built(monkeypatch):
+    built = []
+    init = PowersHilbertTable.__init__
+
+    def counting(self, grid, d):
+        built.append((grid, d))
+        init(self, grid, d)
+
+    monkeypatch.setattr(PowersHilbertTable, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "check, tables",
+    [
+        (verify.check_worked_example, 1),
+        (verify.check_gorenstein_apolarity, 3),
+        (verify.check_coker_formula, 12),
+        (verify.check_macaulay_duality, 36),
+        (verify.check_no_syzygy_socle, 1),
+        (verify.check_non_lefschetz_probes, 4),
+    ],
+    ids=["check02", "check03", "check04", "check05", "check07", "check08"],
+)
+def test_each_check_builds_one_table_per_grid_and_power(check, tables, monkeypatch):
+    # every reader of one (grid, d) shares the table its check built
+    built = _tables_built(monkeypatch)
+    check(PrimeField(), SeedStream(0xC0FFEE), trials=3, a_max=3)
+    assert len(built) == tables and len(set(built)) == tables
+
+
+def test_bx_sequence_builds_one_table_per_power(fp, grid33, monkeypatch):
+    built = _tables_built(monkeypatch)
+    bx_sequence(grid33, 8, trials=1, seed=24)
+    assert built == [(grid33, d) for d in range(1, 9)]
+
+
+def test_rational_mode_compares_the_given_prime(monkeypatch):
+    fields = []
+    dims = verify.mode_agreement_dims
+    monkeypatch.setattr(verify, "mode_agreement_dims", lambda f: fields.append(f) or dims(f))
+    (result,) = run_suite(prime=10007, rational=True)
+    assert result.passed
+    assert [getattr(f, "p", None) for f in fields] == [10007, None]

@@ -160,11 +160,16 @@ def _parse_locus(text: str):
 
 
 def _emit(text: str, args):
-    if args.out:
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        # a usage error, reported by main like any other
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
 
 
 def cmd_wlp(args) -> int:
@@ -302,18 +307,13 @@ def cmd_verify_paper(args) -> int:
     if args.prime <= bound:
         sys.stderr.write(f"error: prime too small for the verification suite (needs > {bound})\n")
         return EXIT_GUARD
-    lines = []
 
     def progress(res):
-        line = res.line()
-        lines.append(line)
-        print(line, flush=True)
+        print(res.line(), flush=True)
         if not res.passed:
             for detail in res.details:
                 if "MISMATCH" in detail or "FAILED" in detail:
-                    msg = f"      {detail}"
-                    lines.append(msg)
-                    print(msg, flush=True)
+                    print(f"      {detail}", flush=True)
 
     results = run_suite(
         prime=args.prime,
@@ -343,11 +343,7 @@ def cmd_verify_paper(args) -> int:
                 "passed": passed,
             }
         )
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            sys.stdout.write(payload + "\n")
+        _emit(payload, args)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

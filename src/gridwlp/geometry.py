@@ -8,7 +8,6 @@ equivalent to this, and it makes ruling lines and tangent planes closed-form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,18 +104,6 @@ class GridConfig:
     def param_pairs(self) -> list:
         """The (u_i, v_j) parameter pairs: the grid as points of P^1 x P^1."""
         return [(self.u[i], self.v[j]) for i in range(self.a) for j in range(self.b)]
-
-    def to_json(self) -> str:
-        p = getattr(self.field, "p", None)
-        return json.dumps(
-            {
-                "a": self.a,
-                "b": self.b,
-                "u": [str(x) if p is None else int(x) for x in self.u],
-                "v": [str(x) if p is None else int(x) for x in self.v],
-                "prime": p,
-            }
-        )
 
 
 def _proportional(x, y, field) -> bool:

@@ -31,7 +31,6 @@ from .polyspace import (
     TOTAL3,
     TOTAL4,
     PolyVector,
-    basis_index,
     basis_size,
     check_power,
     dim_total,
@@ -40,7 +39,7 @@ from .polyspace import (
     linear_power,
     poly_mul,
     vanishing_rows,
-    _falling,
+    _falling_table,
     _shift_column_map,
     _shift_degree,
 )
@@ -154,36 +153,22 @@ def _descent_index(d: int, t: int):
     i(a) and the index of a - e_i(a) in B_(t-1), for every a in B_t, and one
     constraint per row of `rows` = (i, c): (x_i o F)_c equals F_(c + e_i),
     read from block lead at lead_col, or equals 0 where lead is -1 (c_i =
-    d - 1, so c + e_i is not in B_t). The rows with c_j = 0 for all j < i and
-    c_i < d - 1 hold by construction and are left out.
+    d - 1, so c + e_i is not in B_t). The rows with i(c + e_i) = i hold by
+    construction and are left out.
     """
-    prev = np.array(graded_basis(TOTAL4, t - 1))[_below_mask(TOTAL4, t - 1, d)]
+    # target[c, i] is the index of c + e_i in B_t, -1 outside B
+    target = _shift_columns(TOTAL4, 1, t, d)
     top = np.array(graded_basis(TOTAL4, t))[_below_mask(TOTAL4, t, d)]
-    # every exponent is below d, so base-d keys are distinct
-    weights = d ** np.arange(4)
-    keys = prev @ weights
-    order = np.argsort(keys)
-
-    def index(exps):
-        return order[np.searchsorted(keys, exps @ weights, sorter=order)]
-
-    unit = np.eye(4, dtype=np.int64)
     first = np.argmax(top > 0, axis=1)
-    src = index(top - unit[first])
-    rows, lead, lead_col = [], [], []
-    for i in range(4):
-        c = prev[(prev[:, :i] > 0).any(axis=1) | (prev[:, i] == d - 1)]
-        inside = np.flatnonzero(c[:, i] < d - 1)
-        # there c has a nonzero exponent before i, and the first one is i(a)
-        # for a = c + e_i
-        j = np.full(len(c), -1)
-        j[inside] = np.argmax(c[inside] > 0, axis=1)
-        col = np.zeros(len(c), dtype=np.int64)
-        col[inside] = index(c[inside] + unit[i] - unit[j[inside]])
-        rows.append(np.stack([np.full(len(c), i), index(c)], axis=1))
-        lead.append(j)
-        lead_col.append(col)
-    return first, src, np.concatenate(rows), np.concatenate(lead), np.concatenate(lead_col)
+    # lead[c, i] = i(c + e_i), and -1 where target is -1: that index reads
+    # the appended -1
+    lead = np.append(first, -1)[target]
+    own = lead == np.arange(4)
+    src = np.empty(first.size, dtype=np.int64)
+    src[target[own]] = np.nonzero(own)[0]
+    # every other pair is a constraint, i-major as the blocks of lam
+    i, c = np.nonzero(~own.T)
+    return first, src, np.stack([i, c], axis=1), lead[c, i], np.append(src, 0)[target[c, i]]
 
 
 def _descend(basis: np.ndarray, d: int, t: int, field) -> np.ndarray:
@@ -450,27 +435,23 @@ def _power_chain(f: PolyVector, m: int) -> dict:
 
 
 def contraction_matrix(f: PolyVector, s: int) -> np.ndarray:
-    """Matrix of G |-> dF/dG from degree s to degree deg F - s."""
+    """Matrix of G |-> dF/dG from degree s to degree deg F - s: the entry at
+    (alpha', beta) is F_(alpha' + beta) prod_i falling(alpha'_i + beta_i,
+    beta_i), gathered through the shift map of degree s into deg F."""
     field = f.field
-    degf = f.degree
-    if f.grading.kind != "total":
+    grading = f.grading
+    if grading.kind != "total":
         raise ValueError("contraction_matrix expects a total grading")
-    src = graded_basis(f.grading, s)
-    dst = graded_basis(f.grading, degf - s)
-    dst_idx = basis_index(f.grading, degf - s)
-    coeffs = np.asarray(f.coeffs)
-    f_idx = basis_index(f.grading, degf)
-    mat = field.zeros((len(dst), len(src)))
-    for c, beta in enumerate(src):
-        for alpha_p in dst:
-            alpha = tuple(x + y for x, y in zip(alpha_p, beta))
-            fa = coeffs[f_idx[alpha]]
-            if fa != 0:
-                scal = 1
-                for x, y in zip(alpha, beta):
-                    scal *= _falling(x, y)
-                mat[dst_idx[alpha_p], c] = field.mul(fa, field.normalize(scal))
-    return mat
+    if not 0 <= s <= f.degree:
+        return field.zeros((basis_size(grading, f.degree - s), basis_size(grading, s)))
+    colmap = _shift_column_map(grading, s, f.degree)
+    alpha = np.array(graded_basis(grading, f.degree))[colmap]
+    beta = np.array(graded_basis(grading, s))
+    fall = _falling_table(field, s + 1, f.degree + 1)
+    out = np.asarray(f.coeffs)[colmap]
+    for i in range(grading.nvars):
+        out = field.mul(out, fall[beta[:, i], alpha[:, :, i]])
+    return out
 
 
 def perp_piece(f: PolyVector, s: int) -> SubspaceBasis:

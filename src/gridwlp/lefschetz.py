@@ -281,12 +281,13 @@ def non_lefschetz_probe(
 
 
 def slp_probe(table: PowersHilbertTable, k: int, trials: int = 3, seed=0xC0FFEE):
-    """Maximal-rank report for multiplication by the k-th power of a generic
-    form, degree by degree; purely exploratory output."""
+    """Maximal-rank reports for multiplication by the k-th power of a generic
+    form, one per degree t >= k; purely exploratory output. For k = 1 these
+    are the degrees of wlp_test."""
     if k < 1:
         raise LefschetzError("k must be >= 1")
     if k == 1:
-        return wlp_test(table, trials, seed)
+        return wlp_test(table, trials, seed).degrees
     grid = table.grid
     forms = draw_forms(grid, "generic", SeedStream.of(seed).child("slp-form"), trials)
     powers = [_power_in_b(grid, ell, k) for ell in forms]

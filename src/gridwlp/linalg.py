@@ -343,8 +343,7 @@ def kernel_basis(matrix, field) -> np.ndarray:
 
 def _identity(n, field):
     out = field.zeros((n, n))
-    for i in range(n):
-        out[i, i] = field.one
+    np.fill_diagonal(out, field.one)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, perm
 
 import numpy as np
 
@@ -192,29 +192,28 @@ def check_power(d: int):
 
 
 def linear_power(coeffs, d: int, field, grading: Grading = TOTAL4) -> PolyVector:
-    """Multinomial expansion of (sum_i coeffs_i x_i)^d."""
+    """Multinomial expansion of (sum_i coeffs_i x_i)^d: the coefficient of
+    x^e is prod_i C(d - e_1 - ... - e_(i-1), e_i) c_i^(e_i), gathered from a
+    binomial table reduced in the field and a table of powers. No e! is
+    inverted, so this holds over F_p for p <= d too."""
     check_power(d)
-    vals = [field.normalize(c) for c in coeffs]
-    if not any(v != 0 for v in vals):
+    vals = field.array([field.normalize(c) for c in coeffs])
+    if not vals.any():
         raise ValueError("zero linear form")
     n = len(vals)
-    out = zero_poly(grading, d, field)
-    basis = graded_basis(grading, d)
-    fact = [factorial(i) for i in range(d + 1)]
-    for j, mono in enumerate(basis):
-        coef = fact[d]
-        for e in mono:
-            coef //= fact[e]
-        term = field.normalize(coef)
-        for i in range(n):
-            e = mono[i]
-            if e:
-                if vals[i] == 0:
-                    term = field.zero
-                    break
-                term = field.mul(term, _pow(field, vals[i], e))
-        out.coeffs[j] = term
-    return out
+    exps = np.array(graded_basis(grading, d))
+    binom = field.array([[field.normalize(comb(r, e)) for e in range(d + 1)] for r in range(d + 1)])
+    # powers[i, e] = c_i^e
+    powers = field.zeros((n, d + 1))
+    powers[:, 0] = field.one
+    for e in range(1, d + 1):
+        powers[:, e] = field.mul(powers[:, e - 1], vals)
+    # factors[j, i] = C(d - e_1 - ... - e_(i-1), e_i) c_i^(e_i) for e = exps[j]
+    factors = field.mul(binom[d - np.cumsum(exps, axis=1) + exps, exps], powers[np.arange(n), exps])
+    out = factors[:, 0]
+    for i in range(1, n):
+        out = field.mul(out, factors[:, i])
+    return PolyVector(grading, d, out, field)
 
 
 def _pow(field, x, e: int):
@@ -223,13 +222,10 @@ def _pow(field, x, e: int):
     return x**e
 
 
-def _falling(e: int, b: int) -> int:
-    if b > e:
-        return 0
-    out = 1
-    for i in range(b):
-        out *= e - i
-    return out
+def _falling_table(field, nrows: int, ncols: int) -> np.ndarray:
+    """fall[b, e] = falling(e, b) = e (e-1) ... (e-b+1), zero when b > e,
+    reduced in the field, for b < nrows and e < ncols."""
+    return field.array([[field.normalize(perm(e, b)) for e in range(ncols)] for b in range(nrows)])
 
 
 def evaluate(f: PolyVector, point) -> object:
@@ -248,13 +244,6 @@ def evaluate(f: PolyVector, point) -> object:
     return total
 
 
-def _pivot_coordinate(point) -> int:
-    for i, c in enumerate(point):
-        if c != 0:
-            return i
-    raise ValueError("zero point")
-
-
 def condition_multiindices(nvars_active: int, m: int) -> tuple:
     """Multi-indices of order < m over the active (chart) coordinates,
     ordered by total order then graded lex."""
@@ -265,26 +254,24 @@ def condition_multiindices(nvars_active: int, m: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _chart_partials(grading: Grading, degree, m: int, chart, field):
-    """The point-independent part of the evaluation-of-partials rows in one
-    chart: (exps, betas, fall) with exps[i, j] the exponent of x_i in the
-    j-th monomial of the piece, betas[i, r] that of the r-th chart partial of
-    order < m (0 on the chart coordinates), and fall[b, e] = falling(e, b)
-    reduced in the field.
+def _chart_partials(grading: Grading, degree, m: int, field):
+    """The point-independent part of the evaluation-of-partials rows in the
+    chart of the first variable (x_1, or x0 and y0 in the bigraded ring):
+    (exps, betas, fall) with exps[i, j] the exponent of x_i in the j-th
+    monomial of the piece, betas[i, r] that of the r-th chart partial of
+    order < m (0 on the dropped coordinates), and fall the falling-factorial
+    table with m rows.
     """
     nv = grading.nvars
     exps = np.array(graded_basis(grading, degree), dtype=np.int64).reshape(-1, nv)
     if grading.kind == "total":
-        active = [i for i in range(nv) if i != chart]
         orders = condition_multiindices(nv - 1, m)
         betas = np.zeros((len(orders), nv), dtype=np.int64)
-        betas[:, active] = orders
+        betas[:, 1:] = orders
     else:
         betas = np.array([(0, i, 0, s - i) for s in range(m) for i in range(s + 1)])
     emax = int(exps.max(initial=0))
-    fall = field.array(
-        [[field.normalize(_falling(e, b)) for e in range(emax + 1)] for b in range(m)]
-    )
+    fall = _falling_table(field, m, emax + 1)
     # the smallest unsigned type that holds every exponent keeps the cache small
     index = np.min_scalar_type(max(emax, m))
     return np.ascontiguousarray(exps.T, index), np.ascontiguousarray(betas.T, index), fall
@@ -293,43 +280,34 @@ def _chart_partials(grading: Grading, degree, m: int, chart, field):
 def vanishing_rows(grading: Grading, degree, points, m: int, field) -> np.ndarray:
     """Evaluation-of-partials rows for all the points, point-major, then
     partial: row (P, beta) applied to a coefficient vector gives the
-    order-beta partial of the polynomial at P, in an affine chart at P.
+    order-beta partial of the polynomial at P, in the affine chart of the
+    first variable.
 
-    For total gradings the chart drops the first nonzero coordinate of the
-    point. A bigraded point is a parameter pair (u, v) for ((1:u),(1:v)), and
-    its chart drops x0 and y0. The entry at x^e is the structural part
-    prod_i falling(e_i, beta_i) times P^(e - beta), which is the product over
-    i of falling(e_i, beta_i) * P_i^(e_i - beta_i), read from one table for
-    all the points of a chart.
+    For total gradings that chart drops x_1, which every grid point (1, v, u,
+    uv) has nonzero; a point with x_1 = 0 is refused. A bigraded point is a
+    parameter pair (u, v) for ((1:u),(1:v)), and its chart drops x0 and y0.
+    The entry at x^e is the structural part prod_i falling(e_i, beta_i) times
+    P^(e - beta), which is the product over i of falling(e_i, beta_i) *
+    P_i^(e_i - beta_i), read from one table for all the points.
     """
     if grading.kind == "total":
         pts = [[field.normalize(c) for c in pt] for pt in points]
-        charts = [_pivot_coordinate(pt) for pt in pts]
+        if any(pt[0] == 0 for pt in pts):
+            raise ValueError("a point with x_1 = 0 is outside the chart x_1 = 1")
     else:
         pts = [[field.one, field.normalize(u), field.one, field.normalize(v)] for u, v in points]
-        charts = [None] * len(pts)
-    groups: dict = {}
-    for k, chart in enumerate(charts):
-        groups.setdefault(chart, []).append(k)
-    blocks = []
-    for chart, sel in groups.items():
-        exps, betas, fall = _chart_partials(grading, degree, m, chart, field)
-        coords = field.array([pts[k] for k in sel])
-        # table[k, i, b, e] = falling(e, b) * P_ki^(e - b), zero when b > e
-        table = field.zeros(coords.shape + fall.shape)
-        powers = table[:, :, 0]
-        powers[:, :, 0] = field.one
-        for e in range(1, fall.shape[1]):
-            powers[:, :, e] = field.mul(powers[:, :, e - 1], coords)
-        for b in range(1, min(fall.shape)):
-            table[:, :, b, b:] = field.mul(fall[b, b:], powers[:, :, :-b])
-        block = table[:, 0, betas[0, :, None], exps[0]]
-        for i in range(1, grading.nvars):
-            block = field.mul(block, table[:, i, betas[i, :, None], exps[i]])
-        blocks.append(block)
-    rows = blocks[0]
-    if len(blocks) > 1:
-        # back to the order of the points
-        rows = np.concatenate(blocks)[np.argsort(np.concatenate(list(groups.values())))]
+    exps, betas, fall = _chart_partials(grading, degree, m, field)
+    coords = field.array(pts)
+    # table[k, i, b, e] = falling(e, b) * P_ki^(e - b), zero when b > e
+    table = field.zeros(coords.shape + fall.shape)
+    powers = table[:, :, 0]
+    powers[:, :, 0] = field.one
+    for e in range(1, fall.shape[1]):
+        powers[:, :, e] = field.mul(powers[:, :, e - 1], coords)
+    for b in range(1, min(fall.shape)):
+        table[:, :, b, b:] = field.mul(fall[b, b:], powers[:, :, :-b])
+    rows = table[:, 0, betas[0, :, None], exps[0]]
+    for i in range(1, grading.nvars):
+        rows = field.mul(rows, table[:, i, betas[i, :, None], exps[i]])
     npts, nbetas, n = rows.shape
     return rows.reshape(npts * nbetas, n)

@@ -233,3 +233,20 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["verdict"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wlp", "--a", "3", "--b", "3", "--d", "2", "--format", "json"),
+        ("hf", "--a", "3", "--b", "3", "--d", "2", "--tmax", "3"),
+        ("verify-paper", "--rational"),
+    ],
+    ids=["wlp", "hf", "verify-paper"],
+)
+def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.json"
+    code, _, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 1
+    assert err.startswith(f"error: cannot write --out {target}") and "Traceback" not in err
+    assert not target.exists()

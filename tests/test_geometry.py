@@ -145,11 +145,3 @@ def test_subgrid_shares_parameters(fp):
     grid = make_grid(3, 5, fp, seed=SeedStream(16))
     sub = subgrid(grid, 3, 4)
     assert sub.u == grid.u and sub.v == grid.v[:4]
-
-
-def test_grid_json_roundtrip(fp, grid33):
-    import json
-
-    data = json.loads(grid33.to_json())
-    assert data["a"] == 3 and data["b"] == 3 and data["prime"] == fp.p
-    assert len(data["u"]) == 3 and len(data["v"]) == 3

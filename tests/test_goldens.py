@@ -1,4 +1,5 @@
-"""Byte-for-byte goldens of the CLI on explicit grid parameters.
+"""Byte-for-byte goldens of the CLI on explicit grid parameters, or on a
+fixed seed where the prime is too small for them.
 
 Each case runs one command in-process and compares its output with the file
 of the same name in tests/data/. The files were written by an earlier version
@@ -47,6 +48,9 @@ CASES = {
     "hf-3x3-d1-tmax6.csv": ("hf", *P33, "--d", "1", "--tmax", "6", "--format", "csv"),
     "hf-3x3-d3-rational.json": ("hf", *P33, "--d", "3", "--rational", "--format", "json"),
     "hf-3x4-d4-rational.txt": ("hf", *P34, "--d", "4", "--rational"),
+    # p = 5 is too small for explicit parameters, so the grid is seeded; the
+    # multinomials of the 7th powers are reduced mod 5
+    "hf-3x3-d7-p5-seed1.csv": ("hf", "--a", "3", "--b", "3", "--d", "7", "--prime", "5", "--seed", "1", "--format", "csv"),
 }
 
 # name -> (argv, exit code); checks 2, 8 and 10 fail by design

@@ -103,7 +103,7 @@ def _primal_kernel(grid, d, t):
 @pytest.mark.parametrize(
     "field, d_values",
     [
-        (PrimeField(), (2, 3, 4)),
+        (PrimeField(), (2, 3, 4, 5)),
         (PrimeField(10007), (2, 3, 4)),
         (PrimeField(101), (2, 3, 4)),
         (PrimeField(31), (2, 3, 4)),

@@ -224,8 +224,10 @@ def test_probe_rejects_wrong_powers(fp, grid33):
 
 
 def test_slp_k1_reduces_to_wlp(fp, grid33):
-    rep = slp_probe(PowersHilbertTable(grid33, 3), 1, trials=2, seed=19)
-    assert rep.failing == [3]
+    table = PowersHilbertTable(grid33, 3)
+    reports = slp_probe(table, 1, trials=2, seed=19)
+    assert [r.t for r in reports if not r.maximal] == [3]
+    assert reports == wlp_test(table, trials=2, seed=19).degrees
 
 
 def test_slp_2x2_maximal_everywhere(fp):

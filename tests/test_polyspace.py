@@ -1,4 +1,5 @@
-from math import comb
+from fractions import Fraction
+from math import comb, factorial, perm
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from gridwlp import (
     make_grid,
     poly_mul,
 )
+from gridwlp import polyspace
 from gridwlp.linalg import _matmul, rank
 from gridwlp.polyspace import (
     GradingMismatchError,
-    _falling,
     basis_index,
     basis_size,
     condition_multiindices,
@@ -85,8 +86,6 @@ def test_linear_power_multinomial_coefficients(fp):
     alpha = tuple(s.scalar(fp) for _ in range(4))
     d = 4
     p = linear_power(alpha, d, fp)
-    from math import factorial
-
     for mono, c in p.terms():
         expected = factorial(d)
         for e in mono:
@@ -104,6 +103,93 @@ def test_linear_power_matches_iterated_mul(fp):
     for _ in range(3):
         prod = poly_mul(prod, ell)
     assert list(prod.coeffs) == list(linear_power(coeffs, 4, fp).coeffs)
+
+
+def _multinomial_expansion(coeffs, d, field, grading):
+    # d! / prod_i e_i! as an integer, reduced once, times prod_i c_i^e_i: one
+    # monomial at a time
+    vals = [field.normalize(c) for c in coeffs]
+    out = zero_poly(grading, d, field)
+    for j, mono in enumerate(graded_basis(grading, d)):
+        multinomial = factorial(d)
+        for e in mono:
+            multinomial //= factorial(e)
+        term = field.normalize(multinomial)
+        for c, e in zip(vals, mono):
+            term = field.mul(term, c**e)
+        out.coeffs[j] = term
+    return out
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(), PrimeField(5), PrimeField(7), RationalField()],
+    ids=["p2^31-1", "p5", "p7", "QQ"],
+)
+@pytest.mark.parametrize("grading", [TOTAL4, TOTAL3], ids=["total4", "total3"])
+def test_linear_power_matches_multinomial_expansion(field, grading):
+    # over F_5 and F_7 the powers d >= p have multinomials divisible by p,
+    # and e! has no inverse there
+    s = SeedStream(43)
+    n = grading.nvars
+    forms = [tuple(s.scalar(field) for _ in range(n)) for _ in range(3)]
+    forms.append((0,) * (n - 1) + (s.scalar(field),))
+    forms.append((s.scalar(field), 0) + (-1,) * (n - 2))
+    for coeffs in forms:
+        ell = linear_form(coeffs, field, grading)
+        power = ell
+        for d in range(1, 13):
+            got = linear_power(coeffs, d, field, grading)
+            expect = _multinomial_expansion(coeffs, d, field, grading)
+            assert (got.grading, got.degree) == (grading, d)
+            assert list(got.coeffs) == list(expect.coeffs), (coeffs, d)
+            assert list(got.coeffs) == list(power.coeffs), (coeffs, d)
+            if field.rational:
+                assert all(type(x) is Fraction for x in got.coeffs)
+            else:
+                assert got.coeffs.dtype == np.int64
+            power = poly_mul(power, ell)
+
+
+def _loop_contraction_matrix(f, s):
+    # one (alpha', beta) entry at a time: F_(alpha' + beta) times
+    # prod_i falling(alpha'_i + beta_i, beta_i), as the matrix was first built
+    field = f.field
+    src = graded_basis(f.grading, s)
+    dst = graded_basis(f.grading, f.degree - s)
+    f_idx = basis_index(f.grading, f.degree)
+    mat = field.zeros((len(dst), len(src)))
+    for c, beta in enumerate(src):
+        for r, alpha_p in enumerate(dst):
+            alpha = tuple(x + y for x, y in zip(alpha_p, beta))
+            fa = f.coeffs[f_idx[alpha]]
+            if fa != 0:
+                scal = 1
+                for x, y in zip(alpha, beta):
+                    scal *= perm(x, y)
+                mat[r, c] = field.mul(fa, field.normalize(scal))
+    return mat
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(), PrimeField(31), RationalField()], ids=["p2^31-1", "p31", "QQ"]
+)
+@pytest.mark.parametrize("grading", [TOTAL4, TOTAL3], ids=["total4", "total3"])
+def test_contraction_matrix_matches_entry_loop(field, grading):
+    draws = SeedStream(47)
+    for deg in range(7):
+        f = zero_poly(grading, deg, field)
+        for i in range(len(f.coeffs)):
+            # about a third of the coefficients stay zero
+            if draws.below(3):
+                f.coeffs[i] = draws.scalar(field)
+        for s in range(deg + 1):
+            got = contraction_matrix(f, s)
+            expect = _loop_contraction_matrix(f, s)
+            assert got.dtype == expect.dtype and got.shape == expect.shape, (deg, s)
+            assert np.array_equal(got, expect), (deg, s)
+            if field.rational:
+                assert all(type(x) is Fraction for x in got.ravel())
 
 
 def _diff(f, g):
@@ -201,7 +287,7 @@ def test_contraction_full_rank_for_quadric_powers(fp, grid33):
 def _fall_pow_column(value, exps, b, field):
     # falling(e, b) * value^(e - b) for each e, zero when b > e
     return field.array(
-        [field.mul(field.normalize(_falling(e, b)), value ** (e - b)) if b <= e else field.zero
+        [field.mul(field.normalize(perm(e, b)), value ** (e - b)) if b <= e else field.zero
          for e in exps.tolist()]
     )
 
@@ -240,13 +326,9 @@ def _pointwise_rows(grading, degree, point, m, field):
 def test_vanishing_rows_matches_pointwise_build(field, m):
     grid = make_grid(2, 3, field, seed=SeedStream(23))
     grid_points = list(grid.points())
-    # pivots 2, 0, 1 and 3 in one call: the rows must come back in this order
-    mixed = [(0, 0, 3, 5), grid_points[0], (0, 7, -2, 1), (0, 0, 0, 4), grid_points[1]]
-    plane = [(1, 2, 3), (0, 1, 6), (0, 0, 1), (4, -1, 9)]
     cases = [
         (TOTAL4, grid_points, [-1, 0, 1, 2, 5]),
-        (TOTAL4, mixed, [0, 1, 4]),
-        (TOTAL3, plane, [0, 1, 3]),
+        (TOTAL3, [(1, 2, 3), (4, -1, 9), (-3, 0, 1)], [0, 1, 3]),
         (BIGRADED, list(grid.param_pairs()), [(-1, 2), (0, 0), (1, 0), (2, 1), (3, 3), (256, 0)]),
     ]
     for grading, points, degrees in cases:
@@ -256,6 +338,24 @@ def test_vanishing_rows_matches_pointwise_build(field, m):
             assert got.dtype == expect.dtype and np.array_equal(got, expect), (grading, degree)
             if field.rational:
                 assert all(type(x) is type(y) for x, y in zip(got.ravel(), expect.ravel()))
+
+
+@pytest.mark.parametrize(
+    "field, grading, points",
+    [
+        (PrimeField(), TOTAL4, [(1, 2, 3, 6), (0, 0, 3, 5), (0, 7, -2, 1), (0, 0, 0, 4)]),
+        (PrimeField(), TOTAL3, [(1, 2, 3), (0, 1, 6), (0, 0, 1), (4, -1, 9)]),
+        (PrimeField(7), TOTAL4, [(1, 1, 1, 1), (7, 1, 2, 3)]),
+        (RationalField(), TOTAL4, [(0, 1, 1, 1)]),
+    ],
+    ids=["total4", "total3", "zero-mod-7", "qq"],
+)
+def test_vanishing_rows_refuses_points_off_the_chart(field, grading, points, monkeypatch):
+    # the rows are taken in the chart x_1 = 1, where every grid point (1, v,
+    # u, uv) lies; a point with x_1 = 0 is refused before any table is built
+    monkeypatch.setattr(polyspace, "_chart_partials", None)
+    with pytest.raises(ValueError, match="x_1 = 0"):
+        vanishing_rows(grading, 2, points, 2, field)
 
 
 def _slow_poly_mul(f, g):

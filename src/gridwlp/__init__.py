@@ -22,8 +22,8 @@ from .ideals import (
     ci_power_piece,
     fat_points_dim,
     fat_points_hf,
+    fat_points_hfs,
     fat_points_piece,
-    macaulay_dual_check,
     perp_piece,
     powers_ideal_dim,
     powers_ideal_piece,

@@ -11,7 +11,9 @@ error; 2 check failure; 3 internal guard (dimension cap, prime too small).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .field import (
@@ -157,6 +159,21 @@ def _parse_locus(text: str):
         k, l = (int(x) for x in second.split(","))
         return ("chord", (i - 1, j - 1), (k - 1, l - 1))
     raise InvalidLocusError(f"cannot parse locus {text!r}")
+
+
+def _check_out(path: str):
+    """Refuse an --out path that cannot be written before the command runs,
+    with the error line _emit would give after it; nothing is created."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _emit(text: str, args):
@@ -361,6 +378,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (DimensionCapError, PrimeTooSmallError, NotPrimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -4,7 +4,11 @@ complete intersection, perp ideals of a form, Hilbert tables, socle dimensions.
 The powers ideal of a grid and power d is read from its PowersHilbertTable,
 which the caller builds and passes to every reader. A fat-point ideal is named
 by the grid, the multiplicity m and the degree, an integer for the P^3 points
-and a pair for the P^1 x P^1 parameter pairs.
+and a pair for the P^1 x P^1 parameter pairs. The Hilbert function of a
+fat-point scheme in every degree up to T (or every (t, t) up to (T, T)) is
+read from one echelon of the condition matrix at T: the matrix of a lower
+degree is a prefix of its columns, in a fixed column order (see
+fat_points_hfs). The caller holds the tuple, as it holds a table.
 
 Symbolic powers are always computed via vanishing conditions (kernel of an
 evaluation-of-partials matrix), never via ideal powers plus saturation.
@@ -23,6 +27,7 @@ from .linalg import (
     _identity,
     _matmul,
     kernel_basis,
+    pivot_columns,
     rank,
     subspace_from_rows,
 )
@@ -368,6 +373,32 @@ def fat_points_hf(grid: GridConfig, m: int, degree) -> int:
     return rank(fat_points_matrix(grid, m, degree), grid.field)
 
 
+def fat_points_hfs(grid: GridConfig, m: int, top) -> tuple:
+    """(h(0), ..., h(top)) of the order-m fat-point scheme, from one echelon
+    of the condition matrix at `top`: an integer degree, or a bidegree
+    (top, top) for h at every (t, t). Empty for a negative top.
+
+    In the chart of vanishing_rows (x_1 = 1, or x0 = y0 = 1) the entry of a
+    column depends only on the exponents of the other variables. The
+    monomials of degree top are listed by descending e_1, so the matrix of
+    degree t is the first C(t + 3, 3) columns of the matrix at top. Sorted
+    stably by max(e(x1), e(y1)), the columns of bidegree (top, top) start
+    with those of (t, t), in another order. A prefix of columns has the
+    rank of the pivots inside it.
+    """
+    if isinstance(top, tuple) and top[0] != top[1]:
+        raise ValueError("a bigraded sweep runs along the diagonal (t, t)")
+    mat = fat_points_matrix(grid, m, top)
+    if isinstance(top, tuple):
+        exps = np.array(graded_basis(BIGRADED, top), dtype=np.int64).reshape(-1, 4)
+        mat = mat[:, np.argsort(np.maximum(exps[:, 1], exps[:, 3]), kind="stable")]
+        sizes = [(t + 1) ** 2 for t in range(top[0] + 1)]
+    else:
+        sizes = [dim_total(4, t) for t in range(top + 1)]
+    piv = pivot_columns(mat, grid.field)
+    return tuple(np.searchsorted(piv, sizes).tolist())
+
+
 # ---------------------------------------------------------------------------
 # powers of a plane complete intersection
 
@@ -478,7 +509,7 @@ def perp_quotient_hf(f: PolyVector, s: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# socle, duality
+# socle
 
 
 def socle_dims(table: PowersHilbertTable, t_range) -> dict:
@@ -493,13 +524,3 @@ def socle_dims(table: PowersHilbertTable, t_range) -> dict:
         image = np.vstack([_contraction(table, x, t + 1) for x in variables])
         out[t] = table.quotient_dim(t) - rank(image, field)
     return out
-
-
-def macaulay_dual_check(table: PowersHilbertTable, t: int):
-    """Both sides of the duality dim[R/powers]_t = dim[fat points]_t, computed
-    by independent routes (Hilbert table vs vanishing-condition kernel)."""
-    if t < table.d:
-        raise ValueError("duality check needs t >= d")
-    lhs = dim_total(4, t) - powers_ideal_dim(table, t)
-    rhs = fat_points_dim(table.grid, t - table.d + 1, t)
-    return lhs, rhs, lhs == rhs

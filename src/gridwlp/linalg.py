@@ -296,21 +296,32 @@ def _primitive(row):
     return [v // c for v in row] if c > 1 else row
 
 
+def pivot_columns(matrix, field) -> np.ndarray:
+    """The sorted pivot columns of a row echelon form of `matrix`, after the
+    column-cap guard. They are the first independent columns from the left,
+    so the rank of the first c columns is the number of pivots below c."""
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise ValueError("pivot_columns expects a 2-D matrix")
+    _check_cap(a.shape[1])
+    if a.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if field.rational:
+        return np.array(_echelon_frac(a, reduced=False)[1], dtype=np.int64)
+    return _echelon(_residues(a, field.p), field.p, reduced=False)[1]
+
+
 def rank(matrix, field) -> int:
     """Row rank over the active field; deterministic."""
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("rank expects a 2-D matrix")
     _check_cap(a.shape[1])
-    if a.size == 0:
-        return 0
-    if field.rational:
-        return _echelon_frac(a, reduced=False)[0].shape[0]
     m, n = a.shape
-    if n > m > _BASE:
+    if not field.rational and n > m > _BASE:
         # long side as rows, so that the kernel can stop at full column rank
         a = a.T
-    return _echelon(_residues(a, field.p), field.p, reduced=False)[1].size
+    return pivot_columns(a, field).size
 
 
 def rref(matrix, field):

@@ -31,7 +31,7 @@ from .ideals import (
     ci_power_piece,
     fat_points_dim,
     fat_points_hf,
-    macaulay_dual_check,
+    fat_points_hfs,
     perp_quotient_hf,
     powers_ideal_dim,
     socle_dims,
@@ -86,6 +86,11 @@ def _grid(a, b, field, stream, tag):
     return make_grid(a, b, field, seed=stream.child("grid", tag, a, b))
 
 
+def _fat_points_dims(grid, m, top) -> list:
+    """dim[I_X^(m)]_t for t = 0..top, X the grid in P^3, from one sweep."""
+    return [dim_total(4, t) - h for t, h in enumerate(fat_points_hfs(grid, m, top))]
+
+
 def check_theorem_a_sweep(field, stream, trials=3, a_max=5) -> CheckResult:
     c = _Check(1, "square-grid WLP dichotomy sweep")
     for a in (3, 4, 5):
@@ -101,8 +106,9 @@ def check_theorem_a_sweep(field, stream, trials=3, a_max=5) -> CheckResult:
 def check_worked_example(field, stream, trials=3, a_max=5) -> CheckResult:
     c = _Check(2, "worked 3x6 example, d=5")
     grid = _grid(3, 6, field, stream, "ex36")
-    c.expect("dim[I_X]_4", fat_points_dim(grid, 1, 4), 17)
-    c.expect("dim[I_X]_5", fat_points_dim(grid, 1, 5), 38)
+    dims = _fat_points_dims(grid, 1, 5)
+    c.expect("dim[I_X]_4", dims[4], 17)
+    c.expect("dim[I_X]_5", dims[5], 38)
     c.expect("dim[I_Z^(2)]_(6,6)", fat_points_dim(grid, 2, (6, 6)), 10)
     table = PowersHilbertTable(grid, 5)
     h5 = dim_total(4, 5) - powers_ideal_dim(table, 5)
@@ -154,14 +160,19 @@ def check_coker_formula(field, stream, trials=3, a_max=5) -> CheckResult:
 
 
 def check_macaulay_duality(field, stream, trials=3, a_max=5) -> CheckResult:
+    """dim[R/I]_t from the powers ideal's table against dim[I_X^(t-d+1)]_t
+    from the vanishing conditions: Macaulay duality, by two routes that share
+    no matrix. The order-m scheme is read at t = d + m - 1 for d = 1..6, so
+    one sweep up to m + 5 serves every d."""
     c = _Check(5, "duality of power spans and fat points")
     for (a, b) in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)):
         grid = _grid(a, b, field, stream, "dual")
+        fat = {m: _fat_points_dims(grid, m, m + 5) for m in range(1, 5)}
         for d in range(1, 7):
             table = PowersHilbertTable(grid, d)
             for t in range(d, d + 4):
-                lhs, rhs, ok = macaulay_dual_check(table, t)
-                c.expect(f"{a}x{b} d={d} t={t}", lhs, rhs)
+                lhs = dim_total(4, t) - powers_ideal_dim(table, t)
+                c.expect(f"{a}x{b} d={d} t={t}", lhs, fat[t - d + 1][t])
     return c.done()
 
 
@@ -248,16 +259,14 @@ def check_recursion_identity(field, stream, trials=3, a_max=5) -> CheckResult:
     c = _Check(10, "fat-point recursion across the quadric")
     for (a, b) in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6)):
         grid = _grid(a, b, field, stream, "rec")
-        lhs_at = {}  # (alpha, t) -> dim[I_X^(alpha)]_t, the middle term at alpha + 1
+        # dims[alpha][t] = dim[I_X^(alpha)]_t, with I_X^(0) = R
+        dims = {0: [dim_total(4, t) for t in range(0, 9)]}
         for alpha in (1, 2, 3):
+            dims[alpha] = _fat_points_dims(grid, alpha, 8)
+            zdims = [(t + 1) ** 2 - h for t, h in enumerate(fat_points_hfs(grid, alpha, (8, 8)))]
             for t in range(0, 9):
-                lhs = lhs_at[alpha, t] = fat_points_dim(grid, alpha, t)
-                if alpha == 1:
-                    mid = dim_total(4, t - 2)
-                else:
-                    mid = lhs_at[alpha - 1, t - 2] if t >= 2 else 0
-                zpart = fat_points_dim(grid, alpha, (t, t))
-                c.expect(f"{a}x{b} alpha={alpha} t={t}", lhs, mid + zpart)
+                mid = dims[alpha - 1][t - 2] if t >= 2 else 0
+                c.expect(f"{a}x{b} alpha={alpha} t={t}", dims[alpha][t], mid + zdims[t])
     return c.done()
 
 
@@ -279,8 +288,9 @@ def mode_agreement_dims(field) -> dict:
     """A fixed list of a=3 dimension computations, identical in either mode."""
     out = {}
     grid = make_grid(3, 6, field, u=[1, 2, 3], v=[1, 2, 3, 4, 5, 6])
-    out["3x6 dim[I_X]_4"] = fat_points_dim(grid, 1, 4)
-    out["3x6 dim[I_X]_5"] = fat_points_dim(grid, 1, 5)
+    dims = _fat_points_dims(grid, 1, 5)
+    out["3x6 dim[I_X]_4"] = dims[4]
+    out["3x6 dim[I_X]_5"] = dims[5]
     out["3x6 dim[I_Z^(2)]_(6,6)"] = fat_points_dim(grid, 2, (6, 6))
     out["3x6 dim[ideal_5]_6"] = powers_ideal_dim(PowersHilbertTable(grid, 5), 6)
     grid3 = make_grid(3, 3, field, u=[1, 2, 3], v=[1, 2, 3])
@@ -292,10 +302,14 @@ def mode_agreement_dims(field) -> dict:
     return out
 
 
-def _expect_modes_agree(c: _Check, field):
-    """One line per mode_agreement_dims entry: `field` against Q."""
-    prime_dims = mode_agreement_dims(field)
-    rational_dims = mode_agreement_dims(RationalField())
+def _modes(field) -> tuple:
+    """mode_agreement_dims over `field` and over Q."""
+    return mode_agreement_dims(field), mode_agreement_dims(RationalField())
+
+
+def _expect_modes_agree(c: _Check, modes):
+    """One line per mode_agreement_dims entry: the prime field against Q."""
+    prime_dims, rational_dims = modes
     for label, value in prime_dims.items():
         c.expect(f"rational vs prime: {label}", rational_dims[label], value)
 
@@ -384,8 +398,10 @@ def check_determinism_and_modes(
     """Criterion: rerunning every check under a different seed yields byte-
     identical outcomes, and prime vs rational dimensions agree on the a=3
     subset. `rerun` is a `_ForkedRerun` started under `seed2`; without one,
-    the second pass runs here."""
+    the second pass runs here. The mode agreement is computed first, while
+    the forked pass may still be running, and reported last."""
     c = _Check(11, "determinism and mode agreement")
+    modes = _modes(field)
     if rerun is None:
         redo = _rerun_signatures(field, trials, a_max, seed2)
     else:
@@ -393,7 +409,7 @@ def check_determinism_and_modes(
     for prior, sig in zip(first_run, redo):
         same = sig[1:] == prior.signature()[1:]
         c.expect_true(f"check {prior.index} outcome stable across seeds", same)
-    _expect_modes_agree(c, field)
+    _expect_modes_agree(c, modes)
     return c.done()
 
 
@@ -424,7 +440,7 @@ def run_rational_subset(field, progress=None):
     """Exact-arithmetic cross-check: the fixed a=3 dimension subset over
     `field` and over Q."""
     c = _Check(11, "rational-mode agreement subset")
-    _expect_modes_agree(c, field)
+    _expect_modes_agree(c, _modes(field))
     results = [c.done()]
     if progress:
         progress(results[-1])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gridwlp import cli
 from gridwlp.cli import main
 
 
@@ -250,3 +251,16 @@ def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith(f"error: cannot write --out {target}") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "directory"])
+def test_unwritable_output_file_is_refused_before_any_check(tmp_path, capsys, monkeypatch, missing):
+    def no_checks(**kwargs):
+        raise AssertionError("a check ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_checks)
+    target = tmp_path / "missing" / "report.json" if missing else tmp_path
+    reason = "No such file or directory" if missing else "Is a directory"
+    code, out, err = run_cli(capsys, "verify-paper", "--a-max", "3", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write --out {target}: {reason}\n"

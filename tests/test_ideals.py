@@ -15,7 +15,7 @@ from gridwlp import (
     ci_power_piece,
     fat_points_dim,
     fat_points_hf,
-    macaulay_dual_check,
+    fat_points_hfs,
     make_grid,
     mult_map_analysis,
     perp_piece,
@@ -260,6 +260,8 @@ def test_fat_points_cap_guard_before_assembly(fp, grid33, monkeypatch):
         fat_points_dim(grid33, 2, 4)  # 35 monomials of degree 4
     with pytest.raises(DimensionCapError):
         fat_points_hf(grid33, 1, (5, 5))  # 36 of bidegree (5, 5)
+    with pytest.raises(DimensionCapError):
+        fat_points_hfs(grid33, 1, (5, 5))
 
 
 @pytest.mark.parametrize(
@@ -301,9 +303,34 @@ def test_fat_points_of_an_empty_piece(field):
         assert ideals.fat_points_matrix(grid, m, degree).shape == (nrows, 0)
         assert fat_points_dim(grid, m, degree) == 0
         assert fat_points_hf(grid, m, degree) == 0
+    # a sweep up to a negative degree has no entry; up to 0, one
+    for m, top in ((1, -1), (2, -3), (2, (-1, -1))):
+        assert fat_points_hfs(grid, m, top) == ()
+    assert fat_points_hfs(grid, 2, 0) == fat_points_hfs(grid, 2, (0, 0)) == (1,)
     # nine points on the quadric: no linear form through them, one quadric
     dims = {t: fat_points_dim(grid, 1, t) for t in range(-1, 3)}
     assert dims == {-1: 0, 0: 0, 1: 0, 2: 1}
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(), PrimeField(10007), RationalField()], ids=["p31", "p10007", "qq"]
+)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fat_points_sweep_matches_the_rank_of_every_degree(field, m):
+    # rank transposes the wide matrices: an elimination apart from the sweep's
+    for a, b in ((2, 2), (2, 3)):
+        grid = make_grid(a, b, field, seed=SeedStream(40 + b))
+        top = 8
+        got = fat_points_hfs(grid, m, top)
+        assert got == tuple(rank(ideals.fat_points_matrix(grid, m, t), field) for t in range(top + 1))
+        assert got[-1] == a * b * comb(m + 2, 3)  # enough degree: independent conditions
+        got = fat_points_hfs(grid, m, (top, top))
+        assert got == tuple(
+            rank(ideals.fat_points_matrix(grid, m, (t, t)), field) for t in range(top + 1)
+        )
+        assert got[-1] == a * b * comb(m + 1, 2)
+    with pytest.raises(ValueError, match="diagonal"):
+        fat_points_hfs(grid, m, (3, 2))
 
 
 def test_bigraded_fat_points_examples(fp, grid36):
@@ -430,24 +457,22 @@ def test_socle_dims_match_full_ring_oracle(field, cases):
         assert any(got.values())
 
 
-def test_macaulay_dual_check_examples(fp, grid33, grid36):
-    assert macaulay_dual_check(PowersHilbertTable(grid33, 4), 5) == (20, 20, True)
-    lhs, rhs, ok = macaulay_dual_check(PowersHilbertTable(grid36, 5), 6)
-    assert (lhs, rhs, ok) == (27, 27, True)
+def test_macaulay_duality_examples(fp, grid33, grid36):
+    # dim[R/I]_t = dim[I_X^(t-d+1)]_t, for I the d-th powers ideal
+    assert PowersHilbertTable(grid33, 4).quotient_dim(5) == fat_points_dim(grid33, 2, 5) == 20
+    assert PowersHilbertTable(grid36, 5).quotient_dim(6) == fat_points_dim(grid36, 2, 6) == 27
     # t = d reduces to points against forms of degree d
     table = PowersHilbertTable(grid33, 3)
-    lhs, rhs, ok = macaulay_dual_check(table, 3)
-    assert ok and lhs == dim_total(4, 3) - powers_ideal_dim(table, 3)
-    with pytest.raises(ValueError):
-        macaulay_dual_check(PowersHilbertTable(grid33, 4), 3)
+    assert dim_total(4, 3) - powers_ideal_dim(table, 3) == fat_points_dim(grid33, 1, 3)
 
 
 def test_duality_property_sweep_small(fp):
     grid = make_grid(2, 3, fp, seed=SeedStream(33))
+    fat = {m: fat_points_hfs(grid, m, m + 2) for m in (1, 2, 3)}
     for d in (1, 2, 3):
         table = PowersHilbertTable(grid, d)
         for t in range(d, d + 3):
-            assert macaulay_dual_check(table, t)[2]
+            assert table.quotient_dim(t) == dim_total(4, t) - fat[t - d + 1][t]
 
 
 def test_subgrid_generation_invariant(fp):

@@ -6,6 +6,7 @@ import pytest
 from gridwlp import (
     DimensionCapError,
     PrimeField,
+    RationalField,
     SeedStream,
     kernel_basis,
     linalg,
@@ -17,6 +18,7 @@ from gridwlp.linalg import (
     _echelon_frac,
     _matmul_modp,
     _mod,
+    pivot_columns,
     rref,
     subspace_from_rows,
 )
@@ -212,6 +214,36 @@ def test_prime_and_rational_ranks_agree(fp, qq):
     # entries far below zero, through the recursive route
     tall = rng.integers(-9, 9, (70, 4)) @ rng.integers(-9, 9, (4, 60)) - (fp.p << 20)
     assert rank(tall, fp) == rank(fp.array(tall), fp)
+
+
+def _with_repeats(mat):
+    """The matrix with a zero column and a repeated one, so that pivots skip."""
+    mat = mat.copy()
+    mat[:, 1] = 0
+    mat[:, -1] = mat[:, 0]
+    return mat
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 10007, None], ids=["p31", "p10007", "qq"])
+def test_pivots_below_c_are_the_rank_of_the_first_c_columns(p):
+    # rank of a prefix transposes it once it is wide: another elimination
+    rng = _rng(16)
+    if p is None:
+        field = RationalField()
+        mats = [rng.integers(-4, 5, (m, r)) @ rng.integers(-4, 5, (r, n)) for m, n, r in
+                ((9, 12, 4), (6, 5, 3), (4, 10, 4))]
+        mats = [field.array(mat) for mat in mats]
+    else:
+        field = PrimeField(p)
+        mats = [_low_rank(rng, m, n, r, p) for m, n, r in
+                ((20, 30, 7), (120, 90, 50), (60, 200, 55), (200, 70, 40), (90, 160, 90))]
+    for mat in map(_with_repeats, mats):
+        piv = pivot_columns(mat, field)
+        assert np.all(np.diff(piv) > 0) and piv.size == rank(mat, field) < mat.shape[1]
+        for c in range(mat.shape[1] + 1):
+            assert np.searchsorted(piv, c) == rank(mat[:, :c], field), c
+    assert pivot_columns(np.zeros((0, 5), dtype=np.int64), field).size == 0
+    assert pivot_columns(np.zeros((3, 0), dtype=np.int64), field).size == 0
 
 
 def _fraction_echelon(a, reduced):

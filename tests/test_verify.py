@@ -1,7 +1,9 @@
 """Check 11's second-seed pass in a forked child: the same outcomes as the
 in-process rerun, its exceptions reach the parent, and no child outlives
-`run_suite` on any path. Also: each check reads one Hilbert table per
-(grid, d), and rational mode compares the suite's prime with Q."""
+`run_suite` on any path, and the mode agreement runs while the child
+works. Also: each check reads one Hilbert table per (grid, d), checks 5
+and 10 one fat-point matrix per sweep, and rational mode compares the
+suite's prime with Q."""
 
 import os
 import signal
@@ -10,10 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from gridwlp import PowersHilbertTable, PrimeField, SeedStream, bx_sequence, rank, verify
+from gridwlp import PowersHilbertTable, PrimeField, SeedStream, bx_sequence, ideals, rank, verify
 from gridwlp.cli import main
 from gridwlp.linalg import DimensionCapError, _openblas_threads
-from gridwlp.verify import CheckResult, _Check, _ForkedRerun, _rerun_signatures, run_suite
+from gridwlp.verify import (
+    CheckResult,
+    _Check,
+    _ForkedRerun,
+    _rerun_signatures,
+    check_determinism_and_modes,
+    run_suite,
+)
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
 
@@ -155,6 +164,28 @@ def test_normal_return_leaves_no_child(monkeypatch):
     _assert_no_child_left()
 
 
+def test_mode_agreement_runs_before_the_wait_for_the_rerun(monkeypatch):
+    calls = []
+    dims = verify.mode_agreement_dims
+    monkeypatch.setattr(
+        verify, "mode_agreement_dims", lambda f: calls.append("modes") or dims(f)
+    )
+    first = [_stable_check(PrimeField(), SeedStream(1))]
+
+    class StubRerun:
+        def signatures(self):
+            calls.append("rerun")
+            return [r.signature() for r in first]
+
+    result = check_determinism_and_modes(PrimeField(), first, a_max=3, rerun=StubRerun())
+    assert calls == ["modes", "modes", "rerun"]
+    # the lines keep their order: the rerun's first, then the modes'
+    assert result.passed
+    assert result.details[0] == "check 1 outcome stable across seeds: ok"
+    assert all(d.startswith("rational vs prime: ") for d in result.details[1:])
+    assert len(result.details) == 1 + len(dims(PrimeField()))
+
+
 def test_openblas_thread_control_is_found():
     # numpy built on OpenBLAS: without the control both passes would run
     # multithreaded BLAS on the same cores
@@ -215,6 +246,26 @@ def test_each_check_builds_one_table_per_grid_and_power(check, tables, monkeypat
     built = _tables_built(monkeypatch)
     check(PrimeField(), SeedStream(0xC0FFEE), trials=3, a_max=3)
     assert len(built) == tables and len(set(built)) == tables
+
+
+@pytest.mark.parametrize(
+    "check, matrices, tops",
+    [
+        (verify.check_macaulay_duality, 24, {6, 7, 8, 9}),
+        (verify.check_recursion_identity, 54, {8, (8, 8)}),
+    ],
+    ids=["check05", "check10"],
+)
+def test_fat_point_checks_build_one_matrix_per_sweep(check, matrices, tops, monkeypatch):
+    # check 5: one sweep per (grid, m), m = 1..4, up to m + 5; check 10: one
+    # per (grid, alpha) in each grading, up to 8
+    built = []
+    rows = ideals.vanishing_rows
+    monkeypatch.setattr(
+        ideals, "vanishing_rows", lambda *args: built.append(args[1]) or rows(*args)
+    )
+    check(PrimeField(), SeedStream(0xC0FFEE), trials=3, a_max=3)
+    assert len(built) == matrices and set(built) == tops
 
 
 def test_bx_sequence_builds_one_table_per_power(fp, grid33, monkeypatch):

@@ -15,7 +15,7 @@ from .field import (
     RationalField,
     SeedStream,
 )
-from .geometry import GridConfig, make_grid, sample_form, subgrid
+from .geometry import GridConfig, make_grid, sample_form
 from .ideals import (
     PowersHilbertTable,
     ci_power_dim_formula,
@@ -26,7 +26,6 @@ from .ideals import (
     fat_points_piece,
     perp_piece,
     powers_ideal_dim,
-    powers_ideal_piece,
     socle_dims,
 )
 from .formulas import (
@@ -53,10 +52,8 @@ from .lefschetz import (
 from .linalg import (
     COLUMN_CAP,
     DimensionCapError,
-    SubspaceBasis,
     kernel_basis,
     rank,
-    union_dim,
 )
 from .polyspace import (
     BIGRADED,

@@ -1,5 +1,5 @@
 """Grids on the Segre quadric x1*x4 - x2*x3: points, dual forms, ruling lines,
-tangent planes, and sampling of special linear forms.
+and sampling of linear forms on special loci (tangent planes, rulings, chords).
 
 Coordinates are normalized so the grid point with parameters (u_i, v_j) is
 (1, v_j, u_i, u_i*v_j); every smooth quadric with an a x b grid is projectively
@@ -54,15 +54,6 @@ class GridConfig:
         # the linear form dual to a point has the same coordinate 4-tuple
         return self.point(i, j)
 
-    def tangent_plane_coeffs(self, i: int, j: int) -> tuple:
-        f = self.field
-        return (
-            f.mul(self.u[i], self.v[j]),
-            f.neg(self.u[i]),
-            f.neg(self.v[j]),
-            f.one,
-        )
-
     def quadric(self) -> PolyVector:
         f = self.field
         return poly_from_terms(
@@ -80,14 +71,6 @@ class GridConfig:
         f = self.field
         x1, x2, x3, x4 = [f.normalize(c) for c in point]
         return x2 == f.mul(self.v[j], x1) and x4 == f.mul(self.v[j], x3)
-
-    def on_tangent_plane(self, i: int, j: int, point) -> bool:
-        f = self.field
-        coeffs = self.tangent_plane_coeffs(i, j)
-        acc = f.zero
-        for c, x in zip(coeffs, point):
-            acc = f.add(acc, f.mul(c, f.normalize(x)))
-        return acc == f.zero
 
     def is_grid_point(self, point) -> bool:
         return self._grid_point_index(point) is not None
@@ -152,15 +135,6 @@ def make_grid(a: int, b: int, field, seed=None, u=None, v=None) -> GridConfig:
     if len(uu) != a or len(vv) != b:
         raise GridError("parameter count does not match grid dimensions")
     return GridConfig(a=a, b=b, u=uu, v=vv, field=field)
-
-
-def subgrid(grid: GridConfig, a: int, b: int) -> GridConfig:
-    """The subgrid on the first a u-parameters and first b v-parameters."""
-    if a > grid.a or b > grid.b:
-        raise GridError("subgrid dimensions exceed the grid")
-    if a > b:
-        raise GridError("subgrid needs a <= b")
-    return GridConfig(a=a, b=b, u=grid.u[:a], v=grid.v[:b], field=grid.field)
 
 
 def sample_form(grid: GridConfig, locus, stream: SeedStream) -> tuple:

@@ -21,16 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import GridConfig
-from .linalg import (
-    SubspaceBasis,
-    _check_cap,
-    _identity,
-    _matmul,
-    kernel_basis,
-    pivot_columns,
-    rank,
-    subspace_from_rows,
-)
+from .linalg import _check_cap, _identity, _matmul, kernel_basis, pivot_columns, rank, rref
 from .polyspace import (
     BIGRADED,
     TOTAL3,
@@ -84,12 +75,14 @@ def shifted_products_matrix(polys, t, field, below=None) -> np.ndarray:
 
     With below=e the span is taken in the quotient by (x_1^e, ..., x_n^e):
     only shifts and columns whose exponents are all < e are kept, since every
-    other product lies in that monomial ideal.
+    other product lies in that monomial ideal. The column count is guarded
+    before anything is built.
     """
     if not polys:
         raise ValueError("no polynomials given")
     grading = polys[0].grading
     n_t = basis_size(grading, t) if below is None else int(_below_mask(grading, t, below).sum())
+    _check_cap(n_t)
     blocks = []
     for f in polys:
         if f.grading != grading:
@@ -327,14 +320,6 @@ def _contraction(table: PowersHilbertTable, form: PolyVector, t: int) -> np.ndar
     return out
 
 
-def powers_ideal_piece(grid: GridConfig, d: int, t: int) -> SubspaceBasis:
-    ambient = (TOTAL4, t)
-    if t < d:
-        return SubspaceBasis(ambient, grid.field.zeros((0, basis_size(TOTAL4, t))), 0)
-    mat = shifted_products_matrix(power_generators(grid, d), t, grid.field)
-    return subspace_from_rows(mat, ambient, grid.field)
-
-
 # ---------------------------------------------------------------------------
 # fat points
 
@@ -357,10 +342,10 @@ def fat_points_matrix(grid: GridConfig, m: int, degree) -> np.ndarray:
     return vanishing_rows(grading, degree, points, m, grid.field)
 
 
-def fat_points_piece(grid: GridConfig, m: int, degree) -> SubspaceBasis:
-    """Kernel of the evaluation-of-partials matrix on the graded piece."""
-    ker = kernel_basis(fat_points_matrix(grid, m, degree), grid.field)
-    return SubspaceBasis((_grid_points(grid, degree)[0], degree), ker, ker.shape[0])
+def fat_points_piece(grid: GridConfig, m: int, degree) -> np.ndarray:
+    """A basis (rows) of the degree piece of the fat-point ideal: the kernel
+    of the evaluation-of-partials matrix."""
+    return kernel_basis(fat_points_matrix(grid, m, degree), grid.field)
 
 
 def fat_points_dim(grid: GridConfig, m: int, degree) -> int:
@@ -431,8 +416,9 @@ def check_regular_sequence(f: PolyVector, g: PolyVector, field):
             )
 
 
-def ci_power_piece(f: PolyVector, g: PolyVector, m: int, t: int, check=True) -> SubspaceBasis:
-    """Span of { f^(m-i) g^i * monomials } in degree t, for plane forms f, g."""
+def ci_power_piece(f: PolyVector, g: PolyVector, m: int, t: int, check=True) -> np.ndarray:
+    """RREF rows spanning { f^(m-i) g^i * monomials } in degree t, for plane
+    forms f, g."""
     field = f.field
     if f.grading != TOTAL3 or g.grading != TOTAL3:
         raise ValueError("ci_power_piece expects 3-variable forms")
@@ -450,8 +436,7 @@ def ci_power_piece(f: PolyVector, g: PolyVector, m: int, t: int, check=True) -> 
             prods.append(powers_g[m])
         else:
             prods.append(poly_mul(powers_f[m - i], powers_g[i]))
-    mat = shifted_products_matrix(prods, t, field)
-    return subspace_from_rows(mat, (TOTAL3, t), field)
+    return rref(shifted_products_matrix(prods, t, field), field)[0]
 
 
 def _power_chain(f: PolyVector, m: int) -> dict:
@@ -468,11 +453,13 @@ def _power_chain(f: PolyVector, m: int) -> dict:
 def contraction_matrix(f: PolyVector, s: int) -> np.ndarray:
     """Matrix of G |-> dF/dG from degree s to degree deg F - s: the entry at
     (alpha', beta) is F_(alpha' + beta) prod_i falling(alpha'_i + beta_i,
-    beta_i), gathered through the shift map of degree s into deg F."""
+    beta_i), gathered through the shift map of degree s into deg F, after
+    the column-cap guard."""
     field = f.field
     grading = f.grading
     if grading.kind != "total":
         raise ValueError("contraction_matrix expects a total grading")
+    _check_cap(basis_size(grading, s))
     if not 0 <= s <= f.degree:
         return field.zeros((basis_size(grading, f.degree - s), basis_size(grading, s)))
     colmap = _shift_column_map(grading, s, f.degree)
@@ -485,18 +472,17 @@ def contraction_matrix(f: PolyVector, s: int) -> np.ndarray:
     return out
 
 
-def perp_piece(f: PolyVector, s: int) -> SubspaceBasis:
-    """Degree-s piece of F-perp: kernel of the contraction map R_s -> R_(degF-s);
-    the full space once s exceeds deg F."""
+def perp_piece(f: PolyVector, s: int) -> np.ndarray:
+    """A basis (rows) of the degree-s piece of F-perp: the kernel of the
+    contraction map R_s -> R_(degF-s); the identity once s exceeds deg F."""
     field = f.field
     if s < 0:
         raise ValueError("degree must be >= 0")
     n_s = basis_size(f.grading, s)
     _check_cap(n_s)
     if s > f.degree:
-        return SubspaceBasis((f.grading, s), _identity(n_s, field), n_s)
-    ker = kernel_basis(contraction_matrix(f, s), field)
-    return SubspaceBasis((f.grading, s), ker, ker.shape[0])
+        return _identity(n_s, field)
+    return kernel_basis(contraction_matrix(f, s), field)
 
 
 def perp_quotient_hf(f: PolyVector, s: int) -> int:

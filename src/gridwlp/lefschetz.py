@@ -27,41 +27,36 @@ class LefschetzError(ValueError):
 
 @dataclass
 class MultMapReport:
-    """Rank data for x ell : A_(t-1) -> A_t."""
+    """Rank data for x ell^k : A_(t-k) -> A_t, from its measured cokernel;
+    rank and kernel follow by rank counting."""
 
     t: int
     dim_from: int
     dim_to: int
-    rank: int
-    kernel_dim: int
     coker_dim: int
 
     @classmethod
     def from_coker(cls, t: int, dim_from: int, dim_to: int, coker: int) -> "MultMapReport":
-        """The validated report of a map whose cokernel was measured; rank
-        and kernel follow by rank counting."""
-        rank_map = dim_to - coker
-        rep = cls(t, dim_from, dim_to, rank_map, dim_from - rank_map, coker)
+        """The validated report of a map whose cokernel was measured."""
+        rep = cls(t, dim_from, dim_to, coker)
         rep.validate()
         return rep
 
     @property
-    def expected_kernel(self) -> int:
-        return max(0, self.dim_from - self.dim_to)
+    def rank(self) -> int:
+        return self.dim_to - self.coker_dim
 
     @property
-    def expected_coker(self) -> int:
-        return max(0, self.dim_to - self.dim_from)
+    def kernel_dim(self) -> int:
+        return self.dim_from - self.rank
 
     @property
     def maximal(self) -> bool:
-        return self.kernel_dim == self.expected_kernel
+        # injective, or surjective when dim_from > dim_to
+        return self.kernel_dim == max(0, self.dim_from - self.dim_to)
 
     def validate(self):
-        assert self.rank == self.dim_from - self.kernel_dim
-        assert self.rank == self.dim_to - self.coker_dim
         assert min(self.rank, self.kernel_dim, self.coker_dim) >= 0
-        assert self.maximal == (self.coker_dim == self.expected_coker)
 
     def as_dict(self) -> dict:
         return {
@@ -147,12 +142,11 @@ def _power_map(table, power: PolyVector, t: int) -> MultMapReport:
     )
 
 
-def mult_map_analysis(table: PowersHilbertTable, ell, t: int, k: int = 1) -> MultMapReport:
-    """Measure x ell^k : A_(t-k) -> A_t by exact rank computations
-    (exploratory for k >= 2; no closed-form reference)."""
+def mult_map_analysis(table: PowersHilbertTable, ell, t: int) -> MultMapReport:
+    """Measure x ell : A_(t-1) -> A_t by exact rank computations."""
     if t < 1:
         raise LefschetzError("degree t must be >= 1")
-    return _power_map(table, _power_in_b(table.grid, ell, k), t)
+    return _power_map(table, _power_in_b(table.grid, ell, 1), t)
 
 
 def draw_forms(grid: GridConfig, locus, stream: SeedStream, trials: int) -> list:

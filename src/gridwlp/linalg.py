@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -50,10 +49,6 @@ _BASE = 48
 
 
 class DimensionCapError(RuntimeError):
-    pass
-
-
-class AmbientMismatchError(ValueError):
     pass
 
 
@@ -356,31 +351,3 @@ def _identity(n, field):
     out = field.zeros((n, n))
     np.fill_diagonal(out, field.one)
     return out
-
-
-@dataclass
-class SubspaceBasis:
-    """Row-reduced spanning set of a subspace of a graded piece."""
-
-    ambient: tuple
-    rref: np.ndarray
-    dim: int
-
-
-def subspace_from_rows(rows, ambient, field) -> SubspaceBasis:
-    a = np.asarray(rows)
-    if a.ndim != 2:
-        a = a.reshape(0, 0)
-    r, _ = rref(a, field) if a.size else (a.reshape(0, a.shape[1] if a.ndim == 2 else 0), [])
-    return SubspaceBasis(ambient=ambient, rref=r, dim=r.shape[0])
-
-
-def union_dim(a: SubspaceBasis, b: SubspaceBasis, field) -> int:
-    """dim(A + B) for two subspaces of the same ambient graded piece."""
-    if a.ambient != b.ambient:
-        raise AmbientMismatchError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
-    if a.dim == 0:
-        return b.dim
-    if b.dim == 0:
-        return a.dim
-    return rank(np.vstack([a.rref, b.rref]), field)

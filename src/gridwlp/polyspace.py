@@ -103,13 +103,6 @@ class PolyVector:
                 f"coefficient length {len(self.coeffs)} != basis size {expected}"
             )
 
-    def coeff_of(self, mono: tuple):
-        return self.coeffs[basis_index(self.grading, self.degree)[mono]]
-
-    def terms(self):
-        basis = graded_basis(self.grading, self.degree)
-        return [(basis[i], c) for i, c in enumerate(self.coeffs) if c != 0]
-
 
 def zero_poly(grading: Grading, degree, field) -> PolyVector:
     return PolyVector(grading, degree, field.zeros(basis_size(grading, degree)), field)
@@ -216,32 +209,10 @@ def linear_power(coeffs, d: int, field, grading: Grading = TOTAL4) -> PolyVector
     return PolyVector(grading, d, out, field)
 
 
-def _pow(field, x, e: int):
-    if not field.rational:
-        return pow(int(x), e, field.p)
-    return x**e
-
-
 def _falling_table(field, nrows: int, ncols: int) -> np.ndarray:
     """fall[b, e] = falling(e, b) = e (e-1) ... (e-b+1), zero when b > e,
     reduced in the field, for b < nrows and e < ncols."""
     return field.array([[field.normalize(perm(e, b)) for e in range(ncols)] for b in range(nrows)])
-
-
-def evaluate(f: PolyVector, point) -> object:
-    field = f.field
-    pt = [field.normalize(c) for c in point]
-    total = field.zero
-    for mono, c in f.terms():
-        term = c
-        for i, e in enumerate(mono):
-            if e:
-                if pt[i] == 0:
-                    term = field.zero
-                    break
-                term = field.mul(term, _pow(field, pt[i], e))
-        total = field.add(total, term)
-    return total
 
 
 def condition_multiindices(nvars_active: int, m: int) -> tuple:

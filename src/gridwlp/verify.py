@@ -243,7 +243,7 @@ def check_ci_power_oracle(field, stream, trials=3, a_max=5) -> CheckResult:
         g = _random_plane_form(b, field, fs.child("g"))
         for m in range(1, 4):
             for t in range(0, 13):
-                dim = ci_power_piece(f, g, m, t, check=(m == 1 and t == 0)).dim
+                dim = ci_power_piece(f, g, m, t, check=(m == 1 and t == 0)).shape[0]
                 c.expect(f"({a},{b}) m={m} t={t}", dim, ci_power_dim_formula(a, b, m, t))
     return c.done()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 from math import comb
@@ -16,21 +17,21 @@ from gridwlp import (
     fat_points_dim,
     fat_points_hf,
     fat_points_hfs,
+    fat_points_piece,
     make_grid,
     mult_map_analysis,
     perp_piece,
     powers_ideal_dim,
-    powers_ideal_piece,
     sample_form,
     slp_probe,
     socle_dims,
-    subgrid,
     wlp_test,
 )
 from gridwlp import ideals, linalg
 from gridwlp.cli import main
 from gridwlp.ideals import (
     DegenerateSequenceError,
+    fat_points_matrix,
     perp_quotient_hf,
     power_generators,
     shifted_products_matrix,
@@ -60,14 +61,17 @@ def test_powers_ideal_examples(fp, grid33):
     assert powers_ideal_dim(PowersHilbertTable(grid33, 2), 2) == 9
     assert powers_ideal_dim(PowersHilbertTable(grid33, 4), 5) == 36
     assert powers_ideal_dim(PowersHilbertTable(grid33, 3), 2) == 0
-    piece = powers_ideal_piece(grid33, 2, 2)
-    assert piece.dim == 9 and piece.rref.shape == (9, 10)
+    assert rref(_full_ring_rows(grid33, 2, 2), fp)[0].shape == (9, 10)
+
+
+def _full_ring_rows(grid, d, t):
+    # the full-ring oracle: rows spanning [I]_t in the original coordinates,
+    # none below d
+    return shifted_products_matrix(power_generators(grid, d), t, grid.field)
 
 
 def _full_ring_dim(grid, d, t):
-    if t < d:
-        return 0
-    return rank(shifted_products_matrix(power_generators(grid, d), t, grid.field), grid.field)
+    return rank(_full_ring_rows(grid, d, t), grid.field)
 
 
 @pytest.mark.parametrize(
@@ -342,6 +346,16 @@ def test_bigraded_fat_points_examples(fp, grid36):
         assert fat_points_hf(grid36, m, (deg, deg)) == 18 * comb(m + 1, 2)
 
 
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()], ids=["p2^31-1", "QQ"])
+@pytest.mark.parametrize("m, degree", [(1, 3), (2, 5), (1, (3, 3)), (2, (5, 4))], ids=str)
+def test_fat_points_piece_is_a_basis_of_the_ideal_piece(field, m, degree):
+    grid = make_grid(3, 3, field, seed=SeedStream(37))
+    piece = fat_points_piece(grid, m, degree)
+    assert piece.shape[0] == fat_points_dim(grid, m, degree) > 0
+    assert rank(piece, field) == piece.shape[0]
+    assert not linalg._matmul(fat_points_matrix(grid, m, degree), piece.T, field).any()
+
+
 def test_fat_points_multiplicity_must_be_positive(fp, grid33, monkeypatch):
     monkeypatch.setattr(ideals, "vanishing_rows", None)  # refused before assembly
     for m, degree in ((0, 3), (-1, (2, 2))):
@@ -353,9 +367,9 @@ def test_ci_power_oracle_equivalence(fp):
     s = SeedStream(31)
     f = _random_form(3, fp, s.child("f"))
     g = _random_form(3, fp, s.child("g"))
-    assert ci_power_piece(f, g, 1, 5).dim == 12 == ci_power_dim_formula(3, 3, 1, 5)
-    assert ci_power_piece(f, g, 2, 7).dim == 9 == ci_power_dim_formula(3, 3, 2, 7)
-    assert ci_power_piece(f, g, 1, 2).dim == 0 == ci_power_dim_formula(3, 3, 1, 2)
+    assert ci_power_piece(f, g, 1, 5).shape[0] == 12 == ci_power_dim_formula(3, 3, 1, 5)
+    assert ci_power_piece(f, g, 2, 7).shape[0] == 9 == ci_power_dim_formula(3, 3, 2, 7)
+    assert ci_power_piece(f, g, 1, 2).shape[0] == 0 == ci_power_dim_formula(3, 3, 1, 2)
 
 
 def test_ci_power_rejects_degenerate_pairs(fp):
@@ -370,11 +384,11 @@ def test_ci_power_rejects_degenerate_pairs(fp):
 def test_perp_piece_examples(fp, grid33):
     q = grid33.quadric()
     q2 = poly_mul(q, q)
-    assert perp_piece(q2, 2).dim == 0
-    assert perp_piece(q2, 3).dim == 16
-    assert perp_piece(q, 2).dim == 9
+    assert perp_piece(q2, 2).shape == (0, 10)
+    assert perp_piece(q2, 3).shape[0] == 16
+    assert perp_piece(q, 2).shape[0] == 9
     # beyond the degree of the form the perp ideal is everything
-    assert perp_piece(q, 3).dim == dim_total(4, 3)
+    assert perp_piece(q, 3).shape[0] == dim_total(4, 3)
 
 
 def test_perp_piece_cap_guard_past_the_degree(fp, grid33, monkeypatch):
@@ -382,9 +396,37 @@ def test_perp_piece_cap_guard_past_the_degree(fp, grid33, monkeypatch):
     # other matrix with more than COLUMN_CAP columns
     q = grid33.quadric()
     monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
-    assert perp_piece(q, 3).dim == 20
+    assert perp_piece(q, 3).shape[0] == 20
     with pytest.raises(DimensionCapError):
         perp_piece(q, 4)  # 35 monomials of degree 4
+
+
+def _no_shift_map(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("shift map built before the cap guard")
+
+    monkeypatch.setattr(ideals, "_shift_columns", no_assembly)
+    monkeypatch.setattr(ideals, "_shift_column_map", no_assembly)
+
+
+def test_ci_power_cap_guard_before_assembly(fp, monkeypatch):
+    s = SeedStream(36)
+    f, g = _random_form(3, fp, s.child("f")), _random_form(3, fp, s.child("g"))
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
+    assert ci_power_piece(f, g, 1, 5, check=False).shape[0] == 12  # 21 columns
+    _no_shift_map(monkeypatch)
+    with pytest.raises(DimensionCapError):
+        ci_power_piece(f, g, 1, 8, check=False)  # 45 monomials of degree 8
+
+
+def test_contraction_cap_guard_before_assembly(fp, grid33, monkeypatch):
+    q = grid33.quadric()
+    q3 = poly_mul(poly_mul(q, q), q)
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
+    assert perp_quotient_hf(q3, 3) == 20  # 20 columns
+    _no_shift_map(monkeypatch)
+    with pytest.raises(DimensionCapError):
+        perp_quotient_hf(q3, 4)  # 35 monomials of degree 4
 
 
 def test_perp_quotient_tables(fp, grid33):
@@ -424,9 +466,8 @@ def _full_ring_socle(grid, d, t):
     # socle preimage when every x_i f lies in [I]_(t+1); reduce each x_i * R_t
     # modulo the RREF of [I]_(t+1) and take the common kernel
     field = grid.field
-    ideal_t = powers_ideal_piece(grid, d, t).dim
-    piece = powers_ideal_piece(grid, d, t + 1)
-    red = piece.rref
+    ideal_t = _full_ring_dim(grid, d, t)
+    red = rref(_full_ring_rows(grid, d, t + 1), field)[0]
     piv = np.argmax(red != 0, axis=1)
     stacked = []
     for var in range(4):
@@ -475,12 +516,17 @@ def test_duality_property_sweep_small(fp):
             assert table.quotient_dim(t) == dim_total(4, t) - fat[t - d + 1][t]
 
 
+def _subgrid(grid, a, b):
+    # the grid on the first a u-parameters and the first b v-parameters
+    return dataclasses.replace(grid, a=a, b=b, u=grid.u[:a], v=grid.v[:b])
+
+
 def test_subgrid_generation_invariant(fp):
     grid = make_grid(3, 5, fp, seed=SeedStream(34))
-    big, small = PowersHilbertTable(grid, 3), PowersHilbertTable(subgrid(grid, 3, 4), 3)
+    big, small = PowersHilbertTable(grid, 3), PowersHilbertTable(_subgrid(grid, 3, 4), 3)
     for t in range(0, 7):
         assert powers_ideal_dim(big, t) == powers_ideal_dim(small, t)
-    big, smaller = PowersHilbertTable(grid, 2), PowersHilbertTable(subgrid(grid, 3, 3), 2)
+    big, smaller = PowersHilbertTable(grid, 2), PowersHilbertTable(_subgrid(grid, 3, 3), 2)
     for t in range(0, 6):
         assert powers_ideal_dim(big, t) == powers_ideal_dim(smaller, t)
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gridwlp import (
@@ -11,21 +12,21 @@ from gridwlp import (
     make_grid,
     mult_map_analysis,
     non_lefschetz_probe,
-    powers_ideal_piece,
+    rank,
     sample_form,
     slp_probe,
-    union_dim,
     wlp_test,
 )
-from gridwlp.ideals import shifted_products_matrix
+from gridwlp.ideals import power_generators, shifted_products_matrix
 from gridwlp.lefschetz import (
     LefschetzError,
     MultMapReport,
+    _power_in_b,
+    _power_map,
     best_map,
     draw_forms,
 )
-from gridwlp.linalg import subspace_from_rows
-from gridwlp.polyspace import TOTAL4, dim_total, linear_power
+from gridwlp.polyspace import dim_total, linear_power
 
 
 def _generic(grid, seed):
@@ -55,11 +56,15 @@ def _union_coker(grid, d, ell, k, t):
     # the full-ring oracle in the original coordinates:
     # dim R_t - dim([I]_t + ell^k * R_(t-k))
     field = grid.field
-    piece = powers_ideal_piece(grid, d, t)
-    if t < k:
-        return dim_total(4, t) - piece.dim
-    rows = shifted_products_matrix([linear_power(ell, k, field)], t, field)
-    return dim_total(4, t) - union_dim(piece, subspace_from_rows(rows, (TOTAL4, t), field), field)
+    rows = shifted_products_matrix(power_generators(grid, d), t, field)
+    if t >= k:
+        rows = np.vstack([rows, shifted_products_matrix([linear_power(ell, k, field)], t, field)])
+    return dim_total(4, t) - rank(rows, field)
+
+
+def _power_k_map(table, ell, t, k):
+    # x ell^k : A_(t-k) -> A_t
+    return _power_map(table, _power_in_b(table.grid, ell, k), t)
 
 
 def test_coker_agrees_with_union_dim_route(fp, grid33):
@@ -102,7 +107,7 @@ def test_power_maps_agree_with_full_ring_union(field, a, b, d_values):
                 rep = mult_map_analysis(table, ell, t)
                 assert rep.coker_dim == _union_coker(grid, d, ell, 1, t), (d, locus, t)
                 for k in (2, 3):
-                    rep = mult_map_analysis(table, ell, t, k=k)
+                    rep = _power_k_map(table, ell, t, k)
                     assert rep.coker_dim == _union_coker(grid, d, ell, k, t), (d, locus, t, k)
 
 
@@ -119,7 +124,7 @@ def test_power_maps_past_the_switch_agree_with_full_ring_union(fp):
         rep = mult_map_analysis(table, ell, t)
         assert rep.coker_dim == _union_coker(grid, d, ell, 1, t), t
         if t >= table.switch - 1:
-            rep = mult_map_analysis(table, ell, t, k=2)
+            rep = _power_k_map(table, ell, t, 2)
             assert rep.coker_dim == _union_coker(grid, d, ell, 2, t), t
 
 
@@ -131,7 +136,7 @@ def test_map_rejects_zero_and_grid_point_forms(fp, grid33):
     with pytest.raises(LefschetzError, match="ell is dual to a grid point"):
         mult_map_analysis(table, point, 3)
     with pytest.raises(LefschetzError, match="ell is dual to a grid point"):
-        mult_map_analysis(table, grid33.point(0, 0), 3, k=2)
+        _power_k_map(table, grid33.point(0, 0), 3, 2)
 
 
 def test_wlp_verdicts_small(fp, grid33):

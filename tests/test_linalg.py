@@ -12,7 +12,6 @@ from gridwlp import (
     linalg,
     linear_power,
     rank,
-    union_dim,
 )
 from gridwlp.linalg import (
     _echelon_frac,
@@ -20,7 +19,6 @@ from gridwlp.linalg import (
     _mod,
     pivot_columns,
     rref,
-    subspace_from_rows,
 )
 
 
@@ -322,42 +320,6 @@ def test_kernel_basis_is_in_kernel(fp, qq):
     ker_q = kernel_basis(qq.array(small), qq)
     assert ker_q.shape[0] == 9 - rank(qq.array(small), qq)
     assert not (qq.array(small) @ ker_q.T).any()
-
-
-def test_union_and_intersection(fp):
-    ambient = ("demo", 10)
-    rows_a = np.zeros((3, 10), dtype=np.int64)
-    rows_a[0, 0] = rows_a[1, 1] = rows_a[2, 2] = 1
-    rows_b = np.zeros((4, 10), dtype=np.int64)
-    for i in range(4):
-        rows_b[i, 3 + i] = 1
-    a = subspace_from_rows(rows_a, ambient, fp)
-    b = subspace_from_rows(rows_b, ambient, fp)
-    assert union_dim(a, b, fp) == 7
-    assert union_dim(a, a, fp) == 3
-    assert a.dim + b.dim - union_dim(a, b, fp) == 0  # dim(A cap B)
-
-
-def test_union_formula_cross_checked_by_kernel(fp):
-    # dim(A cap B) two ways: rank arithmetic vs kernel of [A^T | -B^T]
-    rng = _rng(21)
-    for _ in range(8):
-        a_rows = rng.integers(0, fp.p, (4, 8)).astype(np.int64)
-        b_rows = np.vstack([a_rows[:2], rng.integers(0, fp.p, (3, 8)).astype(np.int64)])
-        a = subspace_from_rows(a_rows, ("x", 8), fp)
-        b = subspace_from_rows(b_rows, ("x", 8), fp)
-        inter = a.dim + b.dim - union_dim(a, b, fp)
-        stacked = np.hstack([a_rows.T, (-b_rows.T) % fp.p])
-        k = stacked.shape[1] - rank(stacked, fp)
-        ra, rb = rank(a_rows, fp), rank(b_rows, fp)
-        assert inter == k - (a_rows.shape[0] - ra) - (b_rows.shape[0] - rb)
-
-
-def test_ambient_mismatch_rejected(fp):
-    a = subspace_from_rows(np.eye(3, dtype=np.int64), ("x", 3), fp)
-    b = subspace_from_rows(np.eye(4, dtype=np.int64), ("y", 4), fp)
-    with pytest.raises(ValueError):
-        union_dim(a, b, fp)
 
 
 def test_dimension_cap_guard(fp, monkeypatch):

@@ -1,8 +1,12 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package, and every public
+method of a public class, has a caller.
 
 A public name of a module under src/gridwlp that nothing in src/ refers to,
 apart from its own definition and the re-exports in __init__.py, is dead
-code unless it is listed in ALLOWED with the reason it stays.
+code unless it is listed in ALLOWED with the reason it stays. A public
+method of a public class is dead unless src/ reads its name as an attribute
+outside the method itself. Private classes are skipped: argparse calls
+`_Parser.error`, and nothing in src/ names it.
 """
 
 import ast
@@ -15,13 +19,14 @@ ALLOWED = {
     "fat_points_piece": "pinned by the benchmark tracer (perfbench/tracer.py)",
     "perp_piece": "pinned by the benchmark tracer (perfbench/tracer.py)",
     "slp_probe": "pinned by the benchmark tracer (perfbench/tracer.py)",
-    "powers_ideal_piece": "test oracle: the full-ring span of the powers ideal",
-    "union_dim": "test oracle: the full-ring union route of the map ranks",
-    "evaluate": "test oracle: the grid points lie on the quadric",
-    "subgrid": "test oracle: the ideal of a subgrid",
+    "power_generators": "pinned by the benchmark tracer (perfbench/tracer.py); test oracle of [I]_t",
     "square_coker_and_delta": "paper formula, to be confronted with measurement (ROADMAP item 2)",
     "nonsquare_coker": "paper formula, to be confronted with measurement (ROADMAP item 2)",
 }
+
+
+def _trees():
+    return [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
 
 
 def _references(tree):
@@ -36,8 +41,17 @@ def _references(tree):
     )
 
 
-def _unreferenced():
-    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+def _attribute_reads(tree):
+    # how often each name is read as an attribute inside `tree`, whatever
+    # the object: `rep.rank`, `self.basis(t)`, `SeedStream.of(seed)`
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _unreferenced(trees):
     total = sum((_references(tree) for tree in trees), Counter())
     return {
         node.name
@@ -49,11 +63,30 @@ def _unreferenced():
     }
 
 
+def _unread_methods(trees):
+    total = sum((_attribute_reads(tree) for tree in trees), Counter())
+    return {
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and total[node.name] == _attribute_reads(node)[node.name]
+    }
+
+
 def test_every_public_name_has_a_caller_in_src():
-    unreferenced = _unreferenced()
+    unreferenced = _unreferenced(_trees())
     assert unreferenced <= set(ALLOWED), (
         f"no caller in src/ for {sorted(unreferenced - set(ALLOWED))}: delete it, "
         "or add it to ALLOWED with the reason it stays"
     )
     # an entry whose name gained a caller, or is gone, is dropped from the list
     assert set(ALLOWED) <= unreferenced, f"stale ALLOWED entries: {sorted(set(ALLOWED) - unreferenced)}"
+
+
+def test_every_public_method_is_read_in_src():
+    unread = _unread_methods(_trees())
+    assert not unread, f"no reader in src/ for {sorted(unread)}: delete it"

@@ -145,11 +145,6 @@ class RationalField:
     def mul(self, x, y):
         return x * y
 
-    def inv(self, x):
-        if x == 0:
-            raise FieldDivisionError("division by zero")
-        return 1 / Fraction(x)
-
     def div(self, x, y):
         if y == 0:
             raise FieldDivisionError("division by zero")

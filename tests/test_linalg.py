@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,11 @@ from gridwlp import (
     rank,
 )
 from gridwlp.linalg import (
+    _echelon,
     _echelon_frac,
     _matmul_modp,
     _mod,
+    _residues,
     pivot_columns,
     rref,
 )
@@ -135,6 +138,81 @@ def test_blocked_engine_matches_reference():
             rows, piv = rref(mat, field)
             assert piv == expect_piv
             assert rows.dtype == np.int64 and np.array_equal(rows, expect_rows)
+
+
+def _panel_cases(rng, p):
+    """Tall matrices that the row panels (max(n, 96) rows each) split:
+    several panels of deficient rank, a second panel that reduces to zero,
+    full column rank in the first panel, and zero rows, whole panels of
+    them included."""
+    yield _low_rank(rng, 700, 90, 60, p)
+    head = _low_rank(rng, 96, 70, 40, p)
+    echo = _matmul_modp(rng.integers(0, p, (96, 96)), head, p).astype(np.int64)
+    yield np.vstack([head, echo, _low_rank(rng, 150, 70, 65, p)])
+    yield rng.integers(0, p, (2020, 4))
+    yield _low_rank(rng, 500, 120, 120, p)
+    yield np.zeros((300, 60), dtype=np.int64)
+    zeros = np.zeros((600, 50), dtype=np.int64)
+    zeros[250:400:3] = _low_rank(rng, 50, 50, 30, p)
+    yield zeros
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_row_panels_match_one_whole_matrix_echelon(p):
+    # RREF rows and pivots are unique, so feeding the rows in panels leaves
+    # every output byte-identical to the echelon of the whole matrix
+    field = PrimeField(p)
+    for mat in _panel_cases(_rng(17), p):
+        whole = _residues(mat, p)
+        rows, piv = _echelon(whole, p, True)
+        got_rows, got_piv = rref(mat, field)
+        assert got_rows.tobytes() == rows.astype(np.int64).tobytes()
+        assert got_piv == piv.tolist()
+        unreduced = _echelon(whole, p, False)[1]
+        assert pivot_columns(mat, field).tobytes() == unreduced.tobytes()
+        assert rank(mat, field) == unreduced.size
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_of_a_wide_matrix_matches_its_transposed_echelon(p):
+    # 600 x 150 after the transpose: four panels of 150 rows
+    field = PrimeField(p)
+    rng = _rng(18)
+    for r in (0, 1, 120, 150):
+        mat = _low_rank(rng, 150, 600, r, p)
+        transposed = _echelon(_residues(mat.T, p), p, False)[1].size
+        assert rank(mat, field) == transposed == _echelon(_residues(mat, p), p, False)[1].size
+
+
+def test_row_panels_stop_at_full_column_rank(fp, monkeypatch):
+    # the 2020 x 4 systems of the d = 10 sweep: rank 4 in the first panel,
+    # so no other panel becomes residues
+    seen = []
+
+    def counted(matrix, p):
+        seen.append(matrix.shape)
+        return _residues(matrix, p)
+
+    monkeypatch.setattr(linalg, "_residues", counted)
+    mat = _rng(19).integers(0, fp.p, (2020, 4))
+    for entry in (rank, rref, kernel_basis):
+        seen.clear()
+        entry(mat, fp)
+        assert seen == [(96, 4)], entry.__name__
+
+
+def test_transient_memory_stays_below_the_input(fp):
+    # whatever the row count, an elimination holds O(max(n, 96) * n) floats
+    # besides its input; a whole-matrix float64 copy alone is the input's size
+    mat = _low_rank(_rng(20), 3000, 200, 150, fp.p)
+    for entry in (rank, rref, kernel_basis):
+        tracemalloc.start()
+        try:
+            entry(mat, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mat.nbytes, (entry.__name__, peak)
 
 
 def test_matmul_modp_exact_at_largest_inner_dimension(fp):

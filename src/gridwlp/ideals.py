@@ -21,7 +21,16 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import GridConfig
-from .linalg import _check_cap, _identity, _matmul, kernel_basis, pivot_columns, rank, rref
+from .linalg import (
+    _check_cap,
+    _identity,
+    _matmul,
+    block_kernel,
+    kernel_basis,
+    pivot_columns,
+    rank,
+    rref,
+)
 from .polyspace import (
     BIGRADED,
     TOTAL3,
@@ -71,32 +80,43 @@ def _shift_columns(grading, src_deg, t, below=None) -> np.ndarray:
 
 def shifted_products_matrix(polys, t, field, below=None) -> np.ndarray:
     """Rows spanning { m * f : f in polys, m a monomial of degree t - deg f }
-    inside the degree-t piece. Row order: poly-major, then shift monomial.
+    inside the degree-t piece: the blocks of `shifted_product_blocks`,
+    stacked. Row order: poly-major, then shift monomial."""
+    n_t, blocks = shifted_product_blocks(polys, t, field, below)
+    blocks = list(blocks)
+    return np.vstack(blocks) if blocks else field.zeros((0, n_t))
+
+
+def shifted_product_blocks(polys, t, field, below=None):
+    """(n_t, blocks): the dimension of the degree-t piece and an iterator
+    over one row block per poly, its products with the monomials of degree
+    t - deg f; a poly of degree above t has none. A block is built only
+    when it is reached.
 
     With below=e the span is taken in the quotient by (x_1^e, ..., x_n^e):
     only shifts and columns whose exponents are all < e are kept, since every
     other product lies in that monomial ideal. The column count is guarded
-    before anything is built.
+    before any block is built.
     """
     if not polys:
         raise ValueError("no polynomials given")
     grading = polys[0].grading
     n_t = basis_size(grading, t) if below is None else int(_below_mask(grading, t, below).sum())
     _check_cap(n_t)
-    blocks = []
-    for f in polys:
-        if f.grading != grading:
-            raise ValueError("mixed gradings")
-        if _shift_degree(grading, f.degree, t) is None:
-            continue
-        colmap = _shift_columns(grading, f.degree, t, below)
-        rows, cols = np.nonzero(colmap >= 0)
-        block = field.zeros((colmap.shape[0], n_t))
-        block[rows, colmap[rows, cols]] = np.asarray(f.coeffs)[cols]
-        blocks.append(block)
-    if not blocks:
-        return field.zeros((0, n_t))
-    return np.vstack(blocks)
+
+    def blocks():
+        for f in polys:
+            if f.grading != grading:
+                raise ValueError("mixed gradings")
+            if _shift_degree(grading, f.degree, t) is None:
+                continue
+            colmap = _shift_columns(grading, f.degree, t, below)
+            rows, cols = np.nonzero(colmap >= 0)
+            block = field.zeros((colmap.shape[0], n_t))
+            block[rows, colmap[rows, cols]] = np.asarray(f.coeffs)[cols]
+            yield block
+
+    return n_t, blocks()
 
 
 def power_generators(grid: GridConfig, d: int) -> list:
@@ -169,22 +189,35 @@ def _descent_index(d: int, t: int):
     return first, src, np.stack([i, c], axis=1), lead[c, i], np.append(src, 0)[target[c, i]]
 
 
+# Rows of the descent system built at a time.
+_DESCENT_ROWS = 128
+
+
 def _descend(basis: np.ndarray, d: int, t: int, field) -> np.ndarray:
     """A basis of J^perp_t from a basis (rows) of J^perp_(t-1), for t > d.
 
     J is generated in degree d, so F lies in J^perp_t exactly when every
     contraction x_i o F lies in J^perp_(t-1), i.e. x_i o F = basis^T lam_i.
     The constraints on lam = (lam_1, ..., lam_4) are gathered from the
-    columns of `basis`; their kernel, mapped back to F, is the new basis.
+    columns of `basis`, _DESCENT_ROWS of them at a time, and fed to the
+    kernel as they are built; their kernel, mapped back to F, is the new
+    basis.
     """
     first, src, rows, lead, lead_col = _descent_index(d, t)
     w = basis.shape[0]
     cols = basis.T
-    system = field.zeros((rows.shape[0], 4, w))
-    system[np.arange(rows.shape[0]), rows[:, 0]] = cols[rows[:, 1]]
-    inside = np.flatnonzero(lead >= 0)
-    system[inside, lead[inside]] = field.neg(cols[lead_col[inside]])
-    lam = kernel_basis(system.reshape(rows.shape[0], 4 * w), field)
+
+    def blocks():
+        for start in range(0, rows.shape[0], _DESCENT_ROWS):
+            at = slice(start, start + _DESCENT_ROWS)
+            i, c, k = rows[at, 0], rows[at, 1], lead[at]
+            block = field.zeros((i.size, 4, w))
+            block[np.arange(i.size), i] = cols[c]
+            inside = np.flatnonzero(k >= 0)
+            block[inside, k[inside]] = field.neg(cols[lead_col[at][inside]])
+            yield block.reshape(i.size, 4 * w)
+
+    lam = block_kernel(blocks(), 4 * w, field)
     lam = lam.reshape(lam.shape[0], 4, w)
     out = field.zeros((lam.shape[0], first.size))
     for i in range(4):
@@ -250,7 +283,7 @@ class PowersHilbertTable:
             if self.switch is None:
                 self.switch = t
         else:
-            basis = kernel_basis(self._primal(t), field)
+            basis = block_kernel(self._primal(t), self._size(t), field)
         if t >= self.d:
             self.dims[t] = basis.shape[0]
             if basis.shape[0] == 0:
@@ -279,12 +312,15 @@ class PowersHilbertTable:
     def _size(self, t: int) -> int:
         return int(_below_mask(TOTAL4, t, self.d).sum())
 
-    def _primal(self, t: int) -> np.ndarray:
+    def _primal(self, t: int):
+        """The row blocks of the primal matrix at t, one per normalised
+        generator; none for a grid with no other generators than the
+        corner ones."""
         if self._gens is None:
             self._gens = _normalised_generators(self.grid, self.d)
-        if self._gens:
-            return shifted_products_matrix(self._gens, t, self.grid.field, below=self.d)
-        return self.grid.field.zeros((0, self._size(t)))
+        if not self._gens:
+            return iter(())
+        return shifted_product_blocks(self._gens, t, self.grid.field, below=self.d)[1]
 
 
 def powers_ideal_dim(table: PowersHilbertTable, t: int) -> int:

@@ -13,21 +13,28 @@ once per unit of rank. The products split each factor into 16-bit limbs,
 so every partial sum is an integer below 2^53 and exact (see
 ``_matmul_modp``).
 
-``rank``, ``rref``, ``pivot_columns`` and ``kernel_basis`` feed the kernel
-in row panels of max(n, 2 * ``_BASE``) rows (``_echelon_panels``), a tiled
-elimination in the manner of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
-TOMS 2008). A panel becomes float64 residues only when it is reached, is
-reduced against the running RREF with one modular product, and the rest of
-it is echelonised and merged in; the loop stops once the rank is n. Besides
-its input, an elimination so holds O(max(n, 96) * n) floats whatever the
-row count m, where a float64 copy of the whole input used to come first. On
-a 3000 x 200 int64 matrix of rank 150 (4.58 MiB) the transient peak traced
-by ``tracemalloc`` fell from 13.0 to 1.78 MiB for each entry point. On 2
-vCPUs the median peak RSS of ``wlp --a 5 --b 5 --d 10`` fell from 50.0 to
-45.0 MB (10 of 10 alternating pairs of ``perfbench/run.py --seconds 40``),
-and that of ``--d 14`` from 185 to 131 MB in one run each. A matrix of at
-most one panel runs through the same eliminations as before, and every
-output is byte-identical.
+Every F_p elimination reaches the kernel through one driver,
+``_echelon_blocks``, which takes an iterable of integer row blocks and the
+column count n: a tiled elimination in the manner of FFLAS-FFPACK (Dumas,
+Giorgi and Pernet, ACM TOMS 2008). It fills a float64 panel of
+max(n, 2 * ``_BASE``) rows with the residues of one block at a time. Each
+full panel is reduced against the running RREF with one modular product,
+and the rest of it is echelonised and merged in; while n <= ``_BASE`` the
+int64 pivot loop runs on the RREF and the panel together instead. No block
+is pulled once the rank is n. ``rank``, ``rref`` and ``pivot_columns``
+hand it a matrix as one block, and ``kernel_basis`` is ``block_kernel`` of
+one block. The Hilbert table hands ``block_kernel`` its primal systems one
+generator block at a time and its descent systems in row panels, so no
+whole system is built. Besides its blocks, an elimination so holds
+O(max(n, 96) * n) floats: the panel, the running RREF and the copies of a
+merge, whose modular products take the rows of their left factor in
+chunks of ``_CHUNK``. That is a function of n alone. On 2 vCPUs the median
+peak RSS of ``wlp --a 5 --b 5 --d 10`` fell from 50.0 to 45.0 MB when the
+matrices were fed in panels, and from 44.9 to 40.6 MB when the table's
+systems were streamed too (alternating pairs of
+``perfbench/run.py --seconds 40``; ``BENCH_19.json``, ``BENCH_21.json``).
+The RREF and its pivots are unique, so every output is byte-identical to
+the echelon of the whole matrix.
 
 Each product runs on one OpenBLAS thread, and the caller's thread count is
 restored after it. After a multithreaded call OpenBLAS's second worker
@@ -62,6 +69,9 @@ assert COLUMN_CAP < 2**20
 
 # Blocks with at most this many rows or columns go to the pivot loop.
 _BASE = 48
+
+# Rows of the left factor that one limb product of _matmul_modp takes.
+_CHUNK = 128
 
 
 class DimensionCapError(RuntimeError):
@@ -141,36 +151,50 @@ def _mod(z: np.ndarray, p: int) -> np.ndarray:
     return z
 
 
-def _matmul_modp(x, y, p: int) -> np.ndarray:
-    """Exact (x @ y) mod p of two residue matrices, as float64 residues.
+def _matmul_modp(x, y, p: int, acc=None) -> np.ndarray:
+    """Exact (x @ y) mod p of two residue matrices, as float64 residues;
+    with `acc`, (acc - x @ y) mod p, written into acc.
 
     Each factor is split into 16-bit limbs, x = 2^16 x1 + x0 with x1 < 2^15
     (p < 2^31), and the four limb products are float64 BLAS matmuls.
     Horner's rule in 2^16 keeps every value below 2^47 + k * 2^32 < 2^53 for
-    an inner dimension k < 2^20, so every sum BLAS forms is exact. The
-    products run on one BLAS thread (see ``single_blas_thread``).
+    an inner dimension k < 2^20, so every sum BLAS forms is exact. The rows
+    of x go through in chunks of ``_CHUNK``, each written to its rows of the
+    output, so that the limbs of x and the products are never held whole.
+    The products run on one BLAS thread (see ``single_blas_thread``).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     assert x.shape[1] < 2**20, "limb products would reach 2^53"
+    out = np.empty((x.shape[0], y.shape[1])) if acc is None else acc
     with single_blas_thread():
-        # each limb is made just before its first product and freed after
-        # its last: the products of a top-level merge set the memory peak of
-        # an RREF
-        x1 = np.floor(x * 2.0**-16)
-        y1 = np.floor(y * 2.0**-16)
-        z = _mod(x1 @ y1, p)
-        z *= 2.0**16
-        y0 = y - y1 * 2.0**16
-        z += x1 @ y0
-        x0 = x - x1 * 2.0**16
-        del x1
-        z += x0 @ y1
-        del y1
-        _mod(z, p)
-        z *= 2.0**16
-        z += x0 @ y0
-    return _mod(z, p)
+        y1, y0 = _limbs(y)
+        for start in range(0, x.shape[0], _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            x1, x0 = _limbs(x[rows])
+            z = np.matmul(x1, y1, out=None if acc is not None else out[rows])
+            _mod(z, p)
+            z *= 2.0**16
+            z += x1 @ y0
+            z += x0 @ y1
+            _mod(z, p)
+            z *= 2.0**16
+            z += x0 @ y0
+            _mod(z, p)
+            if acc is not None:
+                a = acc[rows]
+                a -= z
+                np.add(a, p, out=a, where=a < 0)
+    return out
+
+
+def _limbs(x: np.ndarray):
+    """(x1, x0) with x = 2^16 x1 + x0 and 0 <= x0 < 2^16, built in place."""
+    x1 = x * 2.0**-16
+    np.floor(x1, out=x1)
+    x0 = x1 * -(2.0**16)
+    x0 += x
+    return x1, x0
 
 
 def _matmul(x, y, field) -> np.ndarray:
@@ -253,8 +277,7 @@ def _extend(top, tp, new, p: int, reduced: bool):
     rest = new[:, free]
     if tp.size:
         # top[:, tp] is the identity, so this clears new[:, tp]
-        rest -= _matmul_modp(new[:, tp], top[:, free], p)
-        _mod(rest, p)
+        _matmul_modp(new[:, tp], top[:, free], p, acc=rest)
     rest = rest[rest.any(axis=1)]
     if rest.shape[0] == 0:
         return top, tp
@@ -262,7 +285,7 @@ def _extend(top, tp, new, p: int, reduced: bool):
     del rest  # not needed by the merge, which is the peak of a reduced echelon
     bp = free[bp]
     if reduced:
-        top[:, free] = _mod(top[:, free] - _matmul_modp(top[:, bp], bot, p), p)
+        top[:, free] = _matmul_modp(top[:, bp], bot, p, acc=top[:, free])
     # tp and bp are sorted and disjoint: a row's place is its index plus the
     # number of pivots of the other side to its left
     rows = np.zeros((tp.size + bp.size, n))
@@ -271,25 +294,48 @@ def _extend(top, tp, new, p: int, reduced: bool):
     return rows, np.sort(np.concatenate([tp, bp]))
 
 
-def _echelon_panels(matrix, p: int, reduced: bool = True):
-    """`_echelon` of the residues of an integer matrix, fed in row panels.
+def _echelon_blocks(blocks, n: int, p: int, reduced: bool = True):
+    """`_echelon` of the residues of the rows of integer row blocks with n
+    columns, fed in row panels; the whole matrix is never built.
 
-    A panel has max(n, 2 * _BASE) rows. Each one becomes float64 residues
-    only when the loop reaches it and is merged into the running RREF by
-    `_extend`; the loop stops once the rank is n. Every panel but the last
-    is merged reduced, so that the next one can be reduced against it. The
-    RREF, and the pivots of any row echelon form, are unique, so they are
-    those of `_echelon` on the residues of the whole matrix, without that
-    copy of the input.
+    A float64 panel of max(n, 2 * _BASE) rows is filled with the residues
+    of one block (or of the part of it that fits) at a time, and each full
+    panel is merged into the running RREF: by `_extend`, or while n <=
+    _BASE by the int64 pivot loop of `_echelon` on the RREF and the panel
+    together. No block is pulled once the rank is n. Every panel but the
+    last is merged reduced, so that the next one can be reduced against
+    it; when a panel ends on the end of a block, the next block is pulled
+    to know whether the panel is the last, and its residues are taken only
+    when it is reached. The RREF, and the pivots of any row echelon form,
+    are unique, so they are those of `_echelon` on the residues of the
+    stacked blocks.
     """
-    m, n = matrix.shape
     step = max(n, 2 * _BASE)
-    rows, piv = _echelon(_residues(matrix[:step], p), p, reduced or m > step)
-    for start in range(step, m, step):
-        if piv.size == n:
+    panel = np.empty((step, n))
+    rows, piv = np.zeros((0, n)), np.zeros(0, dtype=np.int64)
+    blocks = iter(blocks)
+    pending, fill = None, 0  # the rows of a block not yet in a panel
+    while piv.size < n:
+        if pending is None:
+            pending = next(blocks, None)
+        if pending is not None and fill < step:
+            take = min(step - fill, pending.shape[0])
+            panel[fill : fill + take] = _residues(pending[:take], p)
+            fill += take
+            pending = pending[take:] if take < pending.shape[0] else None
+            continue
+        if fill:
+            # only the last panel may be merged unreduced
+            red = reduced or pending is not None
+            if piv.size == 0:
+                rows, piv = _echelon(panel[:fill], p, red)
+            elif n <= _BASE:
+                rows, piv = _echelon(np.concatenate([rows, panel[:fill]]), p, red)
+            else:
+                rows, piv = _extend(rows, piv, panel[:fill], p, red)
+            fill = 0
+        if pending is None:
             break
-        panel = _residues(matrix[start : start + step], p)
-        rows, piv = _extend(rows, piv, panel, p, reduced or start + step < m)
     return rows, piv
 
 
@@ -355,7 +401,7 @@ def pivot_columns(matrix, field) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if field.rational:
         return np.array(_echelon_frac(a, reduced=False)[1], dtype=np.int64)
-    return _echelon_panels(a, field.p, reduced=False)[1]
+    return _echelon_blocks([a], a.shape[1], field.p, reduced=False)[1]
 
 
 def rank(matrix, field) -> int:
@@ -379,7 +425,7 @@ def rref(matrix, field):
     _check_cap(a.shape[1])
     if field.rational:
         return _echelon_frac(a, reduced=True)
-    rows, piv = _echelon_panels(a, field.p)
+    rows, piv = _echelon_blocks([a], a.shape[1], field.p)
     return rows.astype(np.int64), piv.tolist()
 
 
@@ -391,11 +437,29 @@ def kernel_basis(matrix, field) -> np.ndarray:
     _check_cap(n)
     if a.size == 0 or not a.any():
         return _identity(n, field)
-    r, piv = rref(a, field)
+    return block_kernel([a], n, field)
+
+
+def block_kernel(blocks, n: int, field) -> np.ndarray:
+    """`kernel_basis` of the matrix that stacks integer row blocks with n
+    columns each, after the column-cap guard. Over F_p the blocks are fed to
+    `_echelon_blocks` one at a time, so the matrix is never built; over Q
+    they are stacked for `_echelon_frac`."""
+    _check_cap(n)
+    if field.rational:
+        blocks = list(blocks)
+        a = np.concatenate(blocks) if blocks else field.zeros((0, n))
+        rows, piv = rref(a, field)
+    else:
+        rows, piv = _echelon_blocks(blocks, n, field.p)
     free = _complement(n, piv)
     out = field.zeros((free.size, n))
     out[np.arange(free.size), free] = field.one
-    out[:, piv] = field.neg(r[:, free]).T
+    rest = rows[:, free]
+    if not field.rational:
+        # the float RREF holds residues: only these columns become int64
+        rest = rest.astype(np.int64)
+    out[:, piv] = field.neg(rest).T
     return out
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -127,6 +128,81 @@ def test_descent_step_matches_primal_kernel(field, d_values):
                 got_rref, want_rref = rref(down, field)[0], rref(expect, field)[0]
                 assert got_rref.shape == want_rref.shape, (a, b, d, t)
                 assert np.array_equal(got_rref, want_rref), (a, b, d, t)
+
+
+@pytest.mark.parametrize(
+    "field, a, d",
+    [(PrimeField(), 5, 7), (PrimeField(10007), 5, 7), (PrimeField(31), 5, 7), (RationalField(), 4, 5)],
+    ids=["p2^31-1", "p10007", "p31", "QQ"],
+)
+def test_table_bases_are_those_of_the_stacked_systems(field, a, d):
+    # the table feeds its primal one generator block at a time, and its
+    # descent in row panels; RREF bases are unique, so every basis is the
+    # kernel of the whole system, byte for byte. Over F_p (5x5, d = 7) the
+    # last primal (210 x 180) and the first descent (160 columns) span
+    # several panels, and the last descent (16 columns) is narrow
+    grid = make_grid(a, a, field, seed=SeedStream(95))
+    table = PowersHilbertTable(grid, d)
+    t = d
+    while table.basis(t).shape[0]:
+        basis = table.basis(t)
+        if table.switch is None or t < table.switch:
+            want = _primal_kernel(grid, d, t)
+        else:
+            want = _descend_whole(down, d, t, field)
+        assert basis.dtype == want.dtype and np.array_equal(basis, want), t
+        down = basis
+        t += 1
+    assert d < table.switch < t
+
+
+def _descend_whole(basis, d, t, field):
+    # the descent step with its whole constraint system built first
+    first, src, rows, lead, lead_col = ideals._descent_index(d, t)
+    w = basis.shape[0]
+    system = field.zeros((rows.shape[0], 4, w))
+    system[np.arange(rows.shape[0]), rows[:, 0]] = basis.T[rows[:, 1]]
+    inside = np.flatnonzero(lead >= 0)
+    system[inside, lead[inside]] = field.neg(basis.T[lead_col[inside]])
+    lam = linalg.kernel_basis(system.reshape(rows.shape[0], 4 * w), field)
+    lam = lam.reshape(lam.shape[0], 4, w)
+    out = field.zeros((lam.shape[0], first.size))
+    for i in range(4):
+        at = np.flatnonzero(first == i)
+        out[:, at] = linalg._matmul(lam[:, i], basis[:, src[at]], field)
+    return out
+
+
+def test_table_of_a_grid_without_normalised_generators(fp, qq):
+    # a 2x2 grid has only the corner generators: J = 0, so every basis is
+    # the identity on B_t, from an empty stream of primal blocks
+    for field in (fp, qq):
+        grid = make_grid(2, 2, field, seed=SeedStream(96))
+        table = PowersHilbertTable(grid, 3)
+        for t in range(3, 10):
+            size = table._size(t)
+            assert np.array_equal(table.basis(t), linalg._identity(size, field)), t
+        assert table.quotient_dim(9) == 0 and table.quotient_dim(8) == 1
+
+
+def test_table_steps_hold_no_whole_system(fp):
+    # 5x5, d = 10: the 735 x 540 primal at t = 14 and the 1568 x 340
+    # descent system at t = 15 reach the kernel in blocks; measured at
+    # 7.5 and 4.9 MiB, where building each system whole took 11.0 and
+    # 9.6 MiB
+    table = PowersHilbertTable(make_grid(5, 5, fp, seed=7), 10)
+    table.basis(13)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for t in (14, 15):
+            tracemalloc.reset_peak()
+            table.basis(t)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+    assert table.switch == 15
+    assert peaks[0] < 9.5 and peaks[1] < 8.0, peaks
 
 
 def test_hilbert_table_sweep_matches_primal_rank(fp):

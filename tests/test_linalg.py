@@ -16,10 +16,12 @@ from gridwlp import (
 )
 from gridwlp.linalg import (
     _echelon,
+    _echelon_blocks,
     _echelon_frac,
     _matmul_modp,
     _mod,
     _residues,
+    block_kernel,
     pivot_columns,
     rref,
 )
@@ -199,6 +201,103 @@ def test_row_panels_stop_at_full_column_rank(fp, monkeypatch):
         seen.clear()
         entry(mat, fp)
         assert seen == [(96, 4)], entry.__name__
+
+
+def _split(mat, sizes):
+    """The rows of `mat` as blocks of the given sizes, zero-row blocks
+    included; the last block takes the rows that are left."""
+    cuts = np.cumsum(sizes)
+    return [mat[a:b] for a, b in zip(np.concatenate([[0], cuts]), np.append(cuts, len(mat)))]
+
+
+def _block_cases(rng, p):
+    """(matrix, block sizes): blocks that straddle the panels of max(n, 96)
+    rows, zero-row blocks among them, blocks longer than a panel, and the
+    narrow matrices (n <= 48) whose panels are merged by the pivot loop."""
+    yield _low_rank(rng, 400, 150, 120, p), [35] * 11
+    yield _low_rank(rng, 735, 120, 100, p), [0, 35, 0, 0, 200, 1, 96, 0]
+    yield rng.integers(0, p, (300, 70)), [95, 2, 0, 96, 50]
+    yield _low_rank(rng, 500, 32, 31, p), [40] * 12
+    yield _low_rank(rng, 260, 4, 3, p), [96, 0, 96]
+    yield np.zeros((200, 60), dtype=np.int64), [50, 50, 50]
+    yield _low_rank(rng, 90, 200, 60, p), [30, 30]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_block_fed_echelon_matches_one_whole_matrix_echelon(p):
+    # RREF rows and pivots are unique, so any split into blocks gives the
+    # bytes of the echelon of the stacked matrix, and so does the kernel
+    field = PrimeField(p)
+    for mat, sizes in _block_cases(_rng(21), p):
+        n = mat.shape[1]
+        rows, piv = _echelon(_residues(mat, p), p, True)
+        got_rows, got_piv = _echelon_blocks(iter(_split(mat, sizes)), n, p)
+        assert got_rows.tobytes() == rows.tobytes() and got_piv.tobytes() == piv.tobytes()
+        unreduced = _echelon_blocks(iter(_split(mat, sizes)), n, p, False)[1]
+        assert unreduced.tobytes() == _echelon(_residues(mat, p), p, False)[1].tobytes()
+        kernel = block_kernel(iter(_split(mat, sizes)), n, field)
+        assert kernel.dtype == np.int64
+        assert kernel.tobytes() == kernel_basis(mat, field).tobytes()
+
+
+def test_block_fed_echelon_of_no_rows(fp, qq):
+    # an empty iterator, or only zero-row blocks: rank 0, and the kernel is
+    # the identity in both fields
+    for blocks in ((), [np.zeros((0, 7), dtype=np.int64)] * 3):
+        rows, piv = _echelon_blocks(iter(blocks), 7, fp.p)
+        assert rows.shape == (0, 7) and piv.size == 0
+        for field in (fp, qq):
+            kernel = block_kernel(iter(blocks), 7, field)
+            assert np.array_equal(kernel, linalg._identity(7, field))
+
+
+def test_block_fed_kernel_over_the_rationals(qq):
+    # over Q the blocks are stacked for the fraction-free elimination
+    rng = _rng(22)
+    mat = rng.integers(-5, 6, (9, 6)).astype(object)
+    mat[:, 2] = mat[:, 0] - 2 * mat[:, 1]
+    want = kernel_basis(mat, qq)
+    got = block_kernel(iter(_split(mat, [4, 0, 3])), 6, qq)
+    assert got.shape == (1, 6) and np.array_equal(got, want)
+
+
+def test_blocks_are_not_pulled_once_the_rank_is_n(fp, monkeypatch):
+    # full-rank blocks: the first panel (96 rows) reaches rank n. With
+    # 40-row blocks it ends inside the third block, and neither a fourth
+    # block nor the residues of the rest of the third are taken. With
+    # 48-row blocks it ends on the end of the second, and the third is
+    # pulled only to know that the panel is not the last
+    seen = []
+
+    def counted(matrix, p):
+        seen.append(matrix.shape[0])
+        return _residues(matrix, p)
+
+    monkeypatch.setattr(linalg, "_residues", counted)
+    rng = _rng(23)
+    for n in (4, 60):
+        for size, residues in ((40, [40, 40, 16]), (48, [48, 48])):
+            pulled = []
+            seen.clear()
+
+            def blocks():
+                for k in range(10):
+                    pulled.append(k)
+                    yield rng.integers(0, fp.p, (size, n))
+
+            rows, piv = _echelon_blocks(blocks(), n, fp.p)
+            assert piv.tolist() == list(range(n)), (n, size)
+            assert pulled == [0, 1, 2] and seen == residues, (n, size)
+
+
+def test_block_fed_kernel_checks_the_cap_before_the_first_block(fp, monkeypatch):
+    def no_blocks():
+        raise AssertionError("block pulled before the cap guard")
+        yield
+
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
+    with pytest.raises(DimensionCapError):
+        block_kernel(no_blocks(), 31, fp)
 
 
 def test_transient_memory_stays_below_the_input(fp):

@@ -283,7 +283,8 @@ class PowersHilbertTable:
             if self.switch is None:
                 self.switch = t
         else:
-            basis = block_kernel(self._primal(t), self._size(t), field)
+            n_t, blocks = self._primal(t)
+            basis = block_kernel(blocks, n_t, field)
         if t >= self.d:
             self.dims[t] = basis.shape[0]
             if basis.shape[0] == 0:
@@ -313,14 +314,14 @@ class PowersHilbertTable:
         return int(_below_mask(TOTAL4, t, self.d).sum())
 
     def _primal(self, t: int):
-        """The row blocks of the primal matrix at t, one per normalised
-        generator; none for a grid with no other generators than the
-        corner ones."""
+        """(n_t, blocks): the column count of the primal matrix at t and
+        its row blocks, one per normalised generator; no blocks for a grid
+        with no other generators than the corner ones."""
         if self._gens is None:
             self._gens = _normalised_generators(self.grid, self.d)
         if not self._gens:
-            return iter(())
-        return shifted_product_blocks(self._gens, t, self.grid.field, below=self.d)[1]
+            return self._size(t), iter(())
+        return shifted_product_blocks(self._gens, t, self.grid.field, below=self.d)
 
 
 def powers_ideal_dim(table: PowersHilbertTable, t: int) -> int:

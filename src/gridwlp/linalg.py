@@ -16,21 +16,21 @@ so every partial sum is an integer below 2^53 and exact (see
 Every F_p elimination reaches the kernel through one driver,
 ``_echelon_blocks``, which takes an iterable of integer row blocks and the
 column count n: a tiled elimination in the manner of FFLAS-FFPACK (Dumas,
-Giorgi and Pernet, ACM TOMS 2008). It fills a float64 panel of
+Giorgi and Pernet, ACM TOMS 2008). It fills a float64 panel of at most
 max(n, 2 * ``_BASE``) rows with the residues of one block at a time. Each
 full panel is reduced against the running RREF with one modular product,
-and the rest of it is echelonised and merged in; while n <= ``_BASE`` the
-int64 pivot loop runs on the RREF and the panel together instead. No block
-is pulled once the rank is n. ``rank``, ``rref`` and ``pivot_columns``
-hand it a matrix as one block, and ``kernel_basis`` is ``block_kernel`` of
-one block. The Hilbert table hands ``block_kernel`` its primal systems one
-generator block at a time and its descent systems in row panels, so no
-whole system is built. Besides its blocks, an elimination so holds
-O(max(n, 96) * n) floats: the panel, the running RREF and the copies of a
-merge, whose modular products take the rows of their left factor in
-chunks of ``_CHUNK``. That is a function of n alone. On 2 vCPUs the median
+and the rest of it is echelonised and merged in. No block is pulled once
+the rank is n. ``rank``, ``rref`` and ``pivot_columns`` hand it a matrix as
+one block, and ``kernel_basis`` is ``block_kernel`` of one block. The
+Hilbert table hands ``block_kernel`` its primal systems one generator
+block at a time and its descent systems in row panels, so no whole system
+is built. Besides its blocks, an elimination of m rows so holds
+O(min(m, max(n, 96)) * n) floats: the panel, which is sized by the rows
+that arrive, the running RREF and the copies of a merge, whose modular
+products take the rows of their left factor in chunks of ``_CHUNK``. That
+is at most a function of n alone. On 2 vCPUs the median
 peak RSS of ``wlp --a 5 --b 5 --d 10`` fell from 50.0 to 45.0 MB when the
-matrices were fed in panels, and from 44.9 to 40.6 MB when the table's
+matrices were fed in panels, and from 44.5 to 40.0 MB when the table's
 systems were streamed too (alternating pairs of
 ``perfbench/run.py --seconds 40``; ``BENCH_19.json``, ``BENCH_21.json``).
 The RREF and its pivots are unique, so every output is byte-identical to
@@ -298,20 +298,21 @@ def _echelon_blocks(blocks, n: int, p: int, reduced: bool = True):
     """`_echelon` of the residues of the rows of integer row blocks with n
     columns, fed in row panels; the whole matrix is never built.
 
-    A float64 panel of max(n, 2 * _BASE) rows is filled with the residues
-    of one block (or of the part of it that fits) at a time, and each full
-    panel is merged into the running RREF: by `_extend`, or while n <=
-    _BASE by the int64 pivot loop of `_echelon` on the RREF and the panel
-    together. No block is pulled once the rank is n. Every panel but the
-    last is merged reduced, so that the next one can be reduced against
-    it; when a panel ends on the end of a block, the next block is pulled
-    to know whether the panel is the last, and its residues are taken only
-    when it is reached. The RREF, and the pivots of any row echelon form,
-    are unique, so they are those of `_echelon` on the residues of the
-    stacked blocks.
+    A float64 panel of up to max(n, 2 * _BASE) rows is filled with the
+    residues of one block (or of the part of it that fits) at a time, and
+    each full panel is merged into the running RREF by `_extend`. The panel
+    is first allocated with the rows of the first block, at most a panel's
+    worth, so that a matrix fed as one block reserves no more rows than it
+    has; a second block grows it to a whole panel. No block is pulled once
+    the rank is n. Every panel but the last is merged reduced, so that the
+    next one can be reduced against it; when a panel ends on the end of a
+    block, the next block is pulled to know whether the panel is the last,
+    and its residues are taken only when it is reached. The RREF, and the
+    pivots of any row echelon form, are unique, so they are those of
+    `_echelon` on the residues of the stacked blocks.
     """
     step = max(n, 2 * _BASE)
-    panel = np.empty((step, n))
+    panel = np.empty((0, n))
     rows, piv = np.zeros((0, n)), np.zeros(0, dtype=np.int64)
     blocks = iter(blocks)
     pending, fill = None, 0  # the rows of a block not yet in a panel
@@ -319,6 +320,10 @@ def _echelon_blocks(blocks, n: int, p: int, reduced: bool = True):
         if pending is None:
             pending = next(blocks, None)
         if pending is not None and fill < step:
+            if panel.shape[0] < min(step, fill + pending.shape[0]):
+                grown = np.empty((step if panel.shape[0] else min(step, pending.shape[0]), n))
+                grown[:fill] = panel[:fill]
+                panel = grown
             take = min(step - fill, pending.shape[0])
             panel[fill : fill + take] = _residues(pending[:take], p)
             fill += take
@@ -329,8 +334,6 @@ def _echelon_blocks(blocks, n: int, p: int, reduced: bool = True):
             red = reduced or pending is not None
             if piv.size == 0:
                 rows, piv = _echelon(panel[:fill], p, red)
-            elif n <= _BASE:
-                rows, piv = _echelon(np.concatenate([rows, panel[:fill]]), p, red)
             else:
                 rows, piv = _extend(rows, piv, panel[:fill], p, red)
             fill = 0

@@ -212,8 +212,9 @@ def _split(mat, sizes):
 
 def _block_cases(rng, p):
     """(matrix, block sizes): blocks that straddle the panels of max(n, 96)
-    rows, zero-row blocks among them, blocks longer than a panel, and the
-    narrow matrices (n <= 48) whose panels are merged by the pivot loop."""
+    rows, zero-row blocks among them, blocks longer than a panel, a first
+    block shorter than a panel, so that the panel grows, and narrow
+    matrices (n <= 48)."""
     yield _low_rank(rng, 400, 150, 120, p), [35] * 11
     yield _low_rank(rng, 735, 120, 100, p), [0, 35, 0, 0, 200, 1, 96, 0]
     yield rng.integers(0, p, (300, 70)), [95, 2, 0, 96, 50]
@@ -312,6 +313,21 @@ def test_transient_memory_stays_below_the_input(fp):
         finally:
             tracemalloc.stop()
         assert peak < mat.nbytes, (entry.__name__, peak)
+
+
+def test_transient_memory_of_a_wide_matrix_follows_its_rows(fp):
+    # a matrix fed as one block sizes the panel by its rows: 10 x 5000 must
+    # not reserve a panel of max(n, 96) = 5000 rows, which is 200 MB. The
+    # pivot loop's row copies are a few times the input (5.2x measured)
+    mat = _rng(24).integers(0, fp.p, (10, 5000))
+    for entry in (rank, rref, pivot_columns):
+        tracemalloc.start()
+        try:
+            entry(mat, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * mat.nbytes, (entry.__name__, peak)
 
 
 def test_matmul_modp_exact_at_largest_inner_dimension(fp):

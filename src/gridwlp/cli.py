@@ -325,12 +325,15 @@ def cmd_verify_paper(args) -> int:
         sys.stderr.write(f"error: prime too small for the verification suite (needs > {bound})\n")
         return EXIT_GUARD
 
+    # in JSON mode stdout carries the JSON object alone
+    log = sys.stderr if args.format == "json" else sys.stdout
+
     def progress(res):
-        print(res.line(), flush=True)
+        print(res.line(), file=log, flush=True)
         if not res.passed:
             for detail in res.details:
                 if "MISMATCH" in detail or "FAILED" in detail:
-                    print(f"      {detail}", flush=True)
+                    print(f"      {detail}", file=log, flush=True)
 
     results = run_suite(
         prime=args.prime,
@@ -343,7 +346,7 @@ def cmd_verify_paper(args) -> int:
     total = sum(r.seconds for r in results)
     passed = all(r.passed for r in results)
     summary = f"{'ALL CHECKS PASS' if passed else 'SOME CHECKS FAILED'} (total {total:.1f}s)"
-    print(summary, flush=True)
+    print(summary, file=log, flush=True)
     if args.format == "json" or args.out:
         payload = json.dumps(
             {

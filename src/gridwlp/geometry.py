@@ -44,15 +44,12 @@ class GridConfig:
             raise GridError("grid parameters must be distinct")
 
     def point(self, i: int, j: int) -> tuple:
+        # also the coefficients of the linear form dual to the point
         f = self.field
         return (f.one, self.v[j], self.u[i], f.mul(self.u[i], self.v[j]))
 
     def points(self) -> list:
         return [self.point(i, j) for i in range(self.a) for j in range(self.b)]
-
-    def dual_form_coeffs(self, i: int, j: int) -> tuple:
-        # the linear form dual to a point has the same coordinate 4-tuple
-        return self.point(i, j)
 
     def quadric(self) -> PolyVector:
         f = self.field
@@ -107,6 +104,7 @@ def make_grid(a: int, b: int, field, seed=None, u=None, v=None) -> GridConfig:
 
     Explicit integer parameters are checked against the modulus: distinct
     small grids must stay distinct mod p, which needs p > 2 * max(param)^4.
+    Random parameters are distinct nonzero residues, which needs p > b.
     """
     if (u is None) != (v is None):
         raise GridError("give both u and v, or neither")
@@ -129,6 +127,11 @@ def make_grid(a: int, b: int, field, seed=None, u=None, v=None) -> GridConfig:
     else:
         if seed is None:
             raise GridError("need a seed or explicit parameters")
+        # a ruling of b lines needs b distinct nonzero residues
+        if not field.rational and field.p - 1 < b:
+            raise PrimeTooSmallError(
+                f"prime {field.p} too small for a random {a}x{b} grid (needs > {b})"
+            )
         gs = SeedStream.of(seed).child("grid")
         uu = tuple(gs.child("u").distinct_scalars(field, a))
         vv = tuple(gs.child("v").distinct_scalars(field, b))

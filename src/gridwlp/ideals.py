@@ -123,7 +123,7 @@ def power_generators(grid: GridConfig, d: int) -> list:
     """The ab generators: d-th powers of the dual forms, point-major order."""
     f = grid.field
     return [
-        linear_power(grid.dual_form_coeffs(i, j), d, f)
+        linear_power(grid.point(i, j), d, f)
         for i in range(grid.a)
         for j in range(grid.b)
     ]
@@ -147,7 +147,7 @@ def _normalised_generators(grid: GridConfig, d: int) -> list:
     B's coordinates (see _b_coordinates). The corner powers generate
     (x_1^d, ..., x_4^d), and dim[I]_t does not change."""
     return [
-        linear_power(_b_coordinates(grid, grid.dual_form_coeffs(i, j)), d, grid.field)
+        linear_power(_b_coordinates(grid, grid.point(i, j)), d, grid.field)
         for i in range(grid.a)
         for j in range(grid.b)
         if i >= 2 or j >= 2

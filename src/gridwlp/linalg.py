@@ -2,47 +2,41 @@
 
 Over F_p one kernel, ``_echelon``, computes the reduced row echelon form of
 every matrix. Residues are stored as float64 so that BLAS does the products.
-The kernel splits the rows in halves and echelonises the top half. It stops
-there if the top half already has full column rank. Otherwise it reduces the
-bottom half against the top with one modular matmul, on the non-pivot
-columns only, drops the rows that became zero, recurses on the rest, and
-merges the two bases. Blocks of at most ``_BASE`` rows or columns run a
-pivot loop in int64 instead. Each row reaches that loop only after it has
-been reduced against every pivot found before it, so the loop runs about
-once per unit of rank. The products split each factor into 16-bit limbs,
-so every partial sum is an integer below 2^53 and exact (see
+The kernel splits the rows in halves and echelonises the top half. Then it
+reduces the bottom half against the top with one modular matmul, on the
+non-pivot columns only, drops the rows that became zero, recurses on the
+rest, and merges the two bases. Blocks of at most ``_BASE`` rows or columns
+run a pivot loop in int64 instead. Each row reaches that loop only after it
+has been reduced against every pivot found before it, so the loop runs
+about once per unit of rank. The products split each factor into 16-bit
+limbs, so every partial sum is an integer below 2^53 and exact (see
 ``_matmul_modp``).
 
 Every F_p elimination reaches the kernel through one driver,
 ``_echelon_blocks``, which takes an iterable of integer row blocks and the
 column count n: a tiled elimination in the manner of FFLAS-FFPACK (Dumas,
-Giorgi and Pernet, ACM TOMS 2008). It fills a float64 panel of at most
-max(n, 2 * ``_BASE``) rows with the residues of one block at a time. Each
-full panel is reduced against the running RREF with one modular product,
-and the rest of it is echelonised and merged in. No block is pulled once
-the rank is n. ``rank``, ``rref`` and ``pivot_columns`` hand it a matrix as
-one block, and ``kernel_basis`` is ``block_kernel`` of one block. The
-Hilbert table hands ``block_kernel`` its primal systems one generator
-block at a time and its descent systems in row panels, so no whole system
-is built. Besides its blocks, an elimination of m rows so holds
-O(min(m, max(n, 96)) * n) floats: the panel, which is sized by the rows
-that arrive, the running RREF and the copies of a merge, whose modular
-products take the rows of their left factor in chunks of ``_CHUNK``. That
-is at most a function of n alone. On 2 vCPUs the median
-peak RSS of ``wlp --a 5 --b 5 --d 10`` fell from 50.0 to 45.0 MB when the
-matrices were fed in panels, and from 44.5 to 40.0 MB when the table's
-systems were streamed too (alternating pairs of
-``perfbench/run.py --seconds 40``; ``BENCH_19.json``, ``BENCH_21.json``).
-The RREF and its pivots are unique, so every output is byte-identical to
-the echelon of the whole matrix.
+Giorgi and Pernet, ACM TOMS 2008). It is one loop over pieces: each piece is
+the residues of as many rows of the current block as a panel of
+max(n, 2 * ``_BASE``) rows has room for, and then the loop moves on to the
+rest of the block or pulls the next one. When the panel is full, or no
+block is left, its pieces are stacked (one piece is the panel as it is),
+reduced against the running RREF with one modular product, and the rest
+of it is echelonised and merged in. Nothing is preallocated, so a panel
+holds only the rows that arrived. No block is pulled once the rank is n.
+``rank``, ``rref`` and ``pivot_columns`` hand it a matrix as one block, and
+``kernel_basis`` is ``block_kernel`` of one block. The Hilbert table hands
+``block_kernel`` its primal systems one generator block at a time and its
+descent systems in row panels, so no whole system is built. Besides its
+blocks, an elimination of m rows so holds O(min(m, max(n, 96)) * n)
+floats: the panel, the running RREF and the copies of a merge, whose
+modular products take the rows of their left factor in chunks of
+``_CHUNK``. That is at most a function of n alone. The RREF and its pivots
+are unique, so every output is byte-identical to the echelon of the whole
+matrix.
 
 Each product runs on one OpenBLAS thread, and the caller's thread count is
 restored after it. After a multithreaded call OpenBLAS's second worker
-spins, burning a core that the main thread could use. On 2 vCPUs, in
-alternating pairs of ``perfbench/run.py --seconds 40`` against the same
-code with the default threads, this took the median CPU time of
-``wlp --a 5 --b 5 --d 10`` from 1.71 s to 1.05 s (10 of 10 pairs) and that
-of ``bx --a 3 --b 6 --dmax 8`` from 1.20 s to 0.85 s (5 of 5 pairs).
+spins, burning a core that the main thread could use.
 
 Over the rationals, a fraction-free elimination on primitive integer rows
 handles the small cross-check instances and is the oracle for the F_p
@@ -120,8 +114,8 @@ def single_blas_thread():
     ``_matmul_modp`` runs each of its products in this block, so the
     kernel runs every product on one thread: OpenBLAS workers spin after
     each multithreaded call, and a second worker burns a core that the main
-    thread, or a forked process, could use (the measured pairs are in the
-    module docstring). Where OpenBLAS is not found this does nothing.
+    thread, or a forked process, could use (README has the measured pairs).
+    Where OpenBLAS is not found this does nothing.
     """
     control = _openblas_threads()
     if control is None:
@@ -258,8 +252,6 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = True):
         return b[:rr].astype(np.float64), np.array(piv, dtype=np.int64)
     h = m // 2
     top, tp = _echelon(a[:h], p)
-    if tp.size == n:
-        return top, tp
     return _extend(top, tp, a[h:], p, reduced)
 
 
@@ -298,47 +290,36 @@ def _echelon_blocks(blocks, n: int, p: int, reduced: bool = True):
     """`_echelon` of the residues of the rows of integer row blocks with n
     columns, fed in row panels; the whole matrix is never built.
 
-    A float64 panel of up to max(n, 2 * _BASE) rows is filled with the
-    residues of one block (or of the part of it that fits) at a time, and
-    each full panel is merged into the running RREF by `_extend`. The panel
-    is first allocated with the rows of the first block, at most a panel's
-    worth, so that a matrix fed as one block reserves no more rows than it
-    has; a second block grows it to a whole panel. No block is pulled once
-    the rank is n. Every panel but the last is merged reduced, so that the
-    next one can be reduced against it; when a panel ends on the end of a
-    block, the next block is pulled to know whether the panel is the last,
-    and its residues are taken only when it is reached. The RREF, and the
-    pivots of any row echelon form, are unique, so they are those of
-    `_echelon` on the residues of the stacked blocks.
+    Each step takes the residues of as many rows of the current block as
+    the panel of max(n, 2 * _BASE) rows has room for, as one piece, and
+    moves on to the rest of the block or pulls the next one. A full panel,
+    or the last, is its pieces stacked (a single piece is not copied), and
+    it is merged into the running RREF by `_extend`. No block is pulled
+    once the rank is n. Every panel but the last is merged reduced, so that
+    the next one can be reduced against it; when a panel ends on the end of
+    a block, the next block is pulled to know whether the panel is the
+    last, and its residues are taken only when it is reached. The RREF,
+    and the pivots of any row echelon form, are unique, so they are those
+    of `_echelon` on the residues of the stacked blocks.
     """
     step = max(n, 2 * _BASE)
-    panel = np.empty((0, n))
     rows, piv = np.zeros((0, n)), np.zeros(0, dtype=np.int64)
     blocks = iter(blocks)
-    pending, fill = None, 0  # the rows of a block not yet in a panel
-    while piv.size < n:
-        if pending is None:
-            pending = next(blocks, None)
-        if pending is not None and fill < step:
-            if panel.shape[0] < min(step, fill + pending.shape[0]):
-                grown = np.empty((step if panel.shape[0] else min(step, pending.shape[0]), n))
-                grown[:fill] = panel[:fill]
-                panel = grown
-            take = min(step - fill, pending.shape[0])
-            panel[fill : fill + take] = _residues(pending[:take], p)
-            fill += take
-            pending = pending[take:] if take < pending.shape[0] else None
-            continue
-        if fill:
+    block, pieces, fill = next(blocks, None), [], 0
+    while block is not None and piv.size < n:
+        take = step - fill
+        pieces.append(_residues(block[:take], p))
+        fill += pieces[-1].shape[0]
+        block = block[take:] if block.shape[0] > take else next(blocks, None)
+        if fill == step or block is None:
+            panel = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            pieces, fill = [], 0
             # only the last panel may be merged unreduced
-            red = reduced or pending is not None
+            red = reduced or block is not None
             if piv.size == 0:
-                rows, piv = _echelon(panel[:fill], p, red)
+                rows, piv = _echelon(panel, p, red)
             else:
-                rows, piv = _extend(rows, piv, panel[:fill], p, red)
-            fill = 0
-        if pending is None:
-            break
+                rows, piv = _extend(rows, piv, panel, p, red)
     return rows, piv
 
 
@@ -436,11 +417,7 @@ def kernel_basis(matrix, field) -> np.ndarray:
     """RREF basis of the right kernel (rows are kernel vectors), after the
     column-cap guard: the kernel of a zero matrix is an n x n identity."""
     a = np.asarray(matrix)
-    n = a.shape[1]
-    _check_cap(n)
-    if a.size == 0 or not a.any():
-        return _identity(n, field)
-    return block_kernel([a], n, field)
+    return block_kernel([a], a.shape[1], field)
 
 
 def block_kernel(blocks, n: int, field) -> np.ndarray:

@@ -217,6 +217,23 @@ def test_rational_mode_subset(capsys):
     assert "PASS" in out
 
 
+def test_verify_paper_json_stdout_is_one_json_object(capsys):
+    # the progress and summary lines go to stderr, so stdout parses whole
+    code, out, err = run_cli(capsys, "verify-paper", "--rational", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True and len(payload["checks"]) == 1
+    assert "PASS" in err and "ALL CHECKS PASS" in err
+
+
+def test_random_grid_prime_guard_exit_code(capsys):
+    # F_3 has two nonzero residues, too few for a ruling of 4 lines: refused
+    # before any parameter is drawn
+    code, out, err = run_cli(capsys, "wlp", "--a", "3", "--b", "4", "--d", "2", "--prime", "3")
+    assert code == 3
+    assert err.startswith("error: prime 3 too small") and out == ""
+
+
 def test_rational_mode_keeps_the_prime_guard(capsys):
     # --rational compares F_p with Q, so a prime below the bound is refused
     code, out, err = run_cli(capsys, "verify-paper", "--rational", "--prime", "101")

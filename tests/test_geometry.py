@@ -53,6 +53,21 @@ def test_prime_too_small_for_explicit_params():
         make_grid(3, 6, small, u=[1, 2, 3], v=[1, 2, 3, 4, 5, 6])
 
 
+def test_prime_too_small_for_random_params(monkeypatch):
+    # a random ruling of b lines needs b distinct nonzero residues, p > b
+    def no_draws(*args, **kwargs):
+        raise AssertionError("parameters drawn before the prime guard")
+
+    monkeypatch.setattr(SeedStream, "distinct_scalars", no_draws)
+    with pytest.raises(PrimeTooSmallError):
+        make_grid(3, 4, PrimeField(3), seed=1)
+    with pytest.raises(PrimeTooSmallError):
+        make_grid(4, 3, PrimeField(3), seed=1)
+    monkeypatch.undo()
+    grid = make_grid(3, 4, PrimeField(5), seed=1)
+    assert sorted(grid.v) == [1, 2, 3, 4]
+
+
 def _on_tangent_plane(grid, i, j, point):
     # the tangent plane at point (i, j): u_i v_j x1 - u_i x2 - v_j x3 + x4 = 0
     f = grid.field

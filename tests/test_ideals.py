@@ -300,12 +300,12 @@ def test_b_coordinates_send_the_corners_to_coordinate_points(fp, qq):
     for field in (fp, qq):
         grid = make_grid(3, 4, field, u=[2, 5, 7], v=[1, 3, 4, 9])
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            image = ideals._b_coordinates(grid, grid.dual_form_coeffs(i, j))
+            image = ideals._b_coordinates(grid, grid.point(i, j))
             assert [k for k, c in enumerate(image) if c != 0] == [2 * i + j]
         # the same map as the generators': a power of the image of a
         # non-corner dual form is a normalised generator
         gens = ideals._normalised_generators(grid, 2)
-        image = ideals._b_coordinates(grid, grid.dual_form_coeffs(2, 3))
+        image = ideals._b_coordinates(grid, grid.point(2, 3))
         assert np.array_equal(gens[-1].coeffs, linear_power(image, 2, field).coeffs)
 
 

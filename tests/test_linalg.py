@@ -41,7 +41,7 @@ def test_rank_identity_and_zero(fp):
 def test_nine_squares_plus_duplicate(fp, grid33):
     # the 9 squares of the dual forms of a 3x3 grid span a 9-dimensional
     # space in the 10-dimensional degree-2 piece; a duplicate row adds nothing
-    rows = [linear_power(grid33.dual_form_coeffs(i, j), 2, fp).coeffs
+    rows = [linear_power(grid33.point(i, j), 2, fp).coeffs
             for i in range(3) for j in range(3)]
     rows.append(rows[0].copy())
     mat = np.stack(rows)
@@ -82,9 +82,11 @@ def test_rank_equals_rank_of_transpose(fp):
 PRIMES = (2**31 - 1, 2, 3, 10007)
 
 
-def _oracle_rref(mat, p):
-    """Gauss-Jordan over F_p in Python integers: (RREF rows, pivot columns)."""
-    a = np.array(mat, dtype=np.int64).astype(object) % p
+def _oracle_rref(mat, p, dtype=np.int64):
+    """Gauss-Jordan over F_p: (RREF rows, pivot columns). In int64 it is
+    exact for p < 2^31: each product of residues is below 2^62, and each
+    difference above -2^62. dtype=object runs it on Python integers."""
+    a = np.array(mat, dtype=np.int64).astype(dtype) % p
     m, n = a.shape
     piv = []
     for c in range(n):
@@ -130,12 +132,14 @@ def _kernel_cases(rng, p):
 
 
 def test_blocked_engine_matches_reference():
-    # rank and rref against an independent Python-integer elimination
+    # rank and rref against an independent Gauss-Jordan elimination, on
+    # Python integers for the largest prime, where int64 products come
+    # closest to overflow, and in int64 for the others
     rng = _rng(12)
     for p in PRIMES:
         field = PrimeField(p)
         for mat in _kernel_cases(rng, p):
-            expect_rows, expect_piv = _oracle_rref(mat, p)
+            expect_rows, expect_piv = _oracle_rref(mat, p, object if p == PRIMES[0] else np.int64)
             assert rank(mat, field) == len(expect_piv)
             rows, piv = rref(mat, field)
             assert piv == expect_piv
@@ -213,8 +217,8 @@ def _split(mat, sizes):
 def _block_cases(rng, p):
     """(matrix, block sizes): blocks that straddle the panels of max(n, 96)
     rows, zero-row blocks among them, blocks longer than a panel, a first
-    block shorter than a panel, so that the panel grows, and narrow
-    matrices (n <= 48)."""
+    block shorter than a panel, so that a panel is stacked from pieces, and
+    narrow matrices (n <= 48)."""
     yield _low_rank(rng, 400, 150, 120, p), [35] * 11
     yield _low_rank(rng, 735, 120, 100, p), [0, 35, 0, 0, 200, 1, 96, 0]
     yield rng.integers(0, p, (300, 70)), [95, 2, 0, 96, 50]
@@ -524,6 +528,15 @@ def test_dimension_cap_guard(fp, monkeypatch):
         with pytest.raises(DimensionCapError):
             kernel_basis(np.zeros(shape, dtype=np.int64), fp)
     assert kernel_basis(np.zeros((1, 30), dtype=np.int64), fp).shape == (30, 30)
+
+
+def test_rank_checks_the_cap_on_the_columns_it_is_given(fp, monkeypatch):
+    # a wide matrix is transposed before its echelon, whose own guard then
+    # reads the rows: rank guards the columns of the matrix as given
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 60)
+    with pytest.raises(DimensionCapError):
+        rank(np.zeros((49, 61), dtype=np.int64), fp)
+    assert rank(np.zeros((49, 60), dtype=np.int64), fp) == 0
 
 
 def test_rref_pivots_are_unit_columns(fp):

@@ -219,7 +219,7 @@ def test_diff_detects_points_on_quadric(fp, grid33):
     # applying the square of a dual form to the quadric gives 0 exactly for
     # points on the quadric; Q(1, 2, 3, 4) = 4 - 6 = -2
     q = grid33.quadric()
-    on = grid33.dual_form_coeffs(0, 0)
+    on = grid33.point(0, 0)
     off = (1, 2, 3, 4)
     assert not _diff(q, linear_power(on, 2, fp)).coeffs.any()
     assert _diff(q, linear_power(off, 2, fp)).coeffs.any()

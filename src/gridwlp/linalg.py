@@ -393,10 +393,11 @@ def rank(matrix, field) -> int:
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("rank expects a 2-D matrix")
+    # the columns as given: after a transpose, pivot_columns guards the rows
     _check_cap(a.shape[1])
     m, n = a.shape
     if not field.rational and n > m > _BASE:
-        # long side as rows, so that the kernel can stop at full column rank
+        # long side as rows, so that the driver can stop at full column rank
         a = a.T
     return pivot_columns(a, field).size
 

@@ -6,6 +6,21 @@ multiplication-map ranks exactly over a large prime field (or the rationals),
 and cross-checks closed-form predictions against brute-force linear algebra.
 """
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS starts its thread pool when numpy loads, and its workers spin
+# then, before any product (linalg runs every product on one thread anyway).
+# So numpy is loaded with one thread, unless a caller loaded it first or
+# chose a count, and the variable is gone again before anything can inherit
+# it.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .field import (
     DEFAULT_PRIME,
     FieldDivisionError,
@@ -48,6 +63,7 @@ from .lefschetz import (
     non_lefschetz_probe,
     slp_probe,
     wlp_test,
+    wlp_verdict,
 )
 from .linalg import (
     COLUMN_CAP,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .field import SeedStream
 from .geometry import GridConfig, sample_form
-from .ideals import PowersHilbertTable, _b_coordinates, _contraction
+from .ideals import PowersHilbertTable, _b_coordinates, _contraction, ci_power_dim_formula
 from .linalg import rank
 from .polyspace import PolyVector, linear_power
 
@@ -174,18 +174,43 @@ def best_map(reports, stop_coker=None) -> MultMapReport:
     return best
 
 
+def _best_reports(table: PowersHilbertTable, trials: int, seed):
+    """The best report of each degree of table.sweep(), lazily; `trials`
+    generic forms are drawn once and reused in every degree.
+
+    Only ranks that can differ from what is known are measured. A trial's
+    form and grid lift to integers, and a rank can only drop mod p, so no
+    trial's cokernel at t >= d is below the characteristic-0 generic one. A
+    grid is geproci: a general projection of it is a complete intersection
+    of type (a, b), so by apolarity that cokernel is
+    ci_power_dim_formula(a, b, t - d + 1, t), and the first trial that
+    reaches it is the first of highest rank. A is generated in degree 1, so
+    once x ell is onto at some t >= d it is onto in every later degree: those
+    reports are fixed by a_(t-1) and a_t and need no rank.
+    """
+    grid, d = table.grid, table.d
+    forms = draw_forms(grid, "generic", SeedStream.of(seed).child("form"), trials)
+    powers = [_power_in_b(grid, ell, 1) for ell in forms]
+    onto = False
+    for t in table.sweep():
+        if onto:
+            rep = MultMapReport.from_coker(t, table.quotient_dim(t - 1), table.quotient_dim(t), 0)
+        else:
+            target = ci_power_dim_formula(grid.a, grid.b, t - d + 1, t) if t >= d else None
+            rep = best_map((_power_map(table, p, t) for p in powers), stop_coker=target)
+            onto = t >= d and rep.coker_dim == 0
+        yield rep
+
+
 def wlp_test(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> WlpReport:
     """Sweep every degree to the socle; per degree keep the best rank over
     `trials` independent generic forms, drawn once and reused in every
     degree. Maximal rank certified by any single trial; failure requires all
     trials to agree."""
-    grid = table.grid
-    forms = draw_forms(grid, "generic", SeedStream.of(seed).child("form"), trials)
-    powers = [_power_in_b(grid, ell, 1) for ell in forms]
-    reports = [best_map(_power_map(table, p, t) for p in powers) for t in table.sweep()]
+    reports = list(_best_reports(table, trials, seed))
     failing = [rep.t for rep in reports if not rep.maximal]
     out = WlpReport(
-        grid=grid,
+        grid=table.grid,
         d=table.d,
         trials=trials,
         degrees=reports,
@@ -194,6 +219,18 @@ def wlp_test(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> WlpRe
     )
     out.validate()
     return out
+
+
+def wlp_verdict(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> bool:
+    """wlp_test(table, trials, seed).verdict, read up to the degree that
+    decides it: the first non-maximal degree (False), or the first
+    surjective one from d on (True), past which every map is onto."""
+    for rep in _best_reports(table, trials, seed):
+        if not rep.maximal:
+            return False
+        if rep.t >= table.d and rep.coker_dim == 0:
+            return True
+    return True
 
 
 @dataclass
@@ -320,8 +357,8 @@ def bx_sequence(grid: GridConfig, dmax: int, trials: int = 3, seed=0xC0FFEE) -> 
     stream = SeedStream.of(seed)
     bits = []
     for d in range(1, dmax + 1):
-        rep = wlp_test(PowersHilbertTable(grid, d), trials, stream.child("bx", d))
-        bits.append(1 if rep.verdict else 0)
+        verdict = wlp_verdict(PowersHilbertTable(grid, d), trials, stream.child("bx", d))
+        bits.append(1 if verdict else 0)
     conjectural = (
         [d for d in range(1, dmax + 1) if d >= grid.a] if grid.a < grid.b else []
     )

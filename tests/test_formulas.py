@@ -4,15 +4,21 @@ import pytest
 
 from gridwlp import (
     NonSquareParams,
+    PowersHilbertTable,
+    SeedStream,
     SquareGridParams,
+    ci_power_dim_formula,
     coker_formula_geproci,
     compressed_gorenstein_hf,
     ext_binom,
     low_degree_ideal_dim,
+    make_grid,
+    mult_map_analysis,
     nonsquare_coker,
     square_coker_and_delta,
     wlp_verdict_theorem_a,
 )
+from gridwlp.lefschetz import draw_forms
 
 
 def test_ext_binom_clamps():
@@ -104,3 +110,33 @@ def test_failure_inequality_for_positive_remainder():
                 assert coker == 0
                 assert delta == -p.q * comb(a, 2) < 0
                 assert below == p.q * comb(a, 2)
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (3, 5), (4, 4)])
+def test_generic_cokernel_closed_form_matches_measurement(fp, a, b):
+    # a general projection of a grid is a complete intersection of type
+    # (a, b), so by apolarity the generic cokernel of x ell at t >= d is
+    # dim [(f, g)^(t-d+1)]_t; wlp_test stops its trials there
+    grid = make_grid(a, b, fp, seed=SeedStream(70 + 7 * a + b))
+    for d in range(1, 7):
+        table = PowersHilbertTable(grid, d)
+        forms = draw_forms(grid, "generic", SeedStream(71).child(d), 2)
+        for t in table.sweep():
+            if t >= d:
+                best = min(mult_map_analysis(table, ell, t).coker_dim for ell in forms)
+                assert best == ci_power_dim_formula(a, b, t - d + 1, t), (d, t)
+
+
+def test_geproci_coker_formula_is_the_ci_power_dimension():
+    # check 4's formula for the map into degree d + t is the same closed
+    # form, with multiplicity t + 1, across its window
+    cases = 0
+    for a in range(2, 7):
+        for b in range(a, 9):
+            for d in range(1, 13):
+                for t in range(0, 13):
+                    pred = coker_formula_geproci(a, b, d, t)
+                    if pred is not None:
+                        assert pred == ci_power_dim_formula(a, b, t + 1, d + t), (a, b, d, t)
+                        cases += 1
+    assert cases > 300

@@ -9,6 +9,7 @@ from gridwlp import (
     RationalField,
     SeedStream,
     bx_sequence,
+    ci_power_dim_formula,
     make_grid,
     mult_map_analysis,
     non_lefschetz_probe,
@@ -16,7 +17,9 @@ from gridwlp import (
     sample_form,
     slp_probe,
     wlp_test,
+    wlp_verdict,
 )
+from gridwlp import lefschetz
 from gridwlp.ideals import power_generators, shifted_products_matrix
 from gridwlp.lefschetz import (
     LefschetzError,
@@ -265,6 +268,112 @@ def test_bx_nonsquare_flags_conjectural_region(fp):
     assert seq.conjectural == [3, 4]
     data = json.loads(seq.to_json())
     assert data["conjectural_d"] == [3, 4]
+
+
+def _trial_reports(table, trials, seed):
+    """Every trial's report in every degree of the sweep, none skipped:
+    {t: [report of trial 0, trial 1, ...]}."""
+    forms = draw_forms(table.grid, "generic", SeedStream.of(seed).child("form"), trials)
+    powers = [_power_in_b(table.grid, ell, 1) for ell in forms]
+    return {t: [_power_map(table, p, t) for p in powers] for t in table.sweep()}
+
+
+def _oracle_degrees(table, trials, seed):
+    # the first report of highest rank in each degree; max keeps the first
+    # of equal keys
+    return [
+        max(reps, key=lambda r: r.rank).as_dict()
+        for reps in _trial_reports(table, trials, seed).values()
+    ]
+
+
+def _oracle_verdict(degrees):
+    return all(rep["maximal"] for rep in degrees)
+
+
+def _wlp_against_oracle(grid, d_max, trials, seed):
+    for d in range(1, d_max + 1):
+        oracle = _oracle_degrees(PowersHilbertTable(grid, d), trials, seed.child(d))
+        rep = wlp_test(PowersHilbertTable(grid, d), trials, seed.child(d))
+        assert [r.as_dict() for r in rep.degrees] == oracle, d
+        verdict = wlp_verdict(PowersHilbertTable(grid, d), trials, seed.child(d))
+        assert verdict == rep.verdict == _oracle_verdict(oracle), d
+
+
+SHAPES = [(a, b) for a in (2, 3, 4) for b in range(a, 7)]
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 10007])
+@pytest.mark.parametrize("a, b", SHAPES, ids=[f"{a}x{b}" for a, b in SHAPES])
+def test_wlp_test_and_verdict_match_the_all_trials_oracle(p, a, b):
+    # d = 1..6; every degree of every trial is ranked by the oracle, while
+    # wlp_test stops at the generic cokernel and fixes the degrees past the
+    # first surjective one
+    grid = make_grid(a, b, PrimeField(p), seed=SeedStream(60 + 7 * a + b))
+    _wlp_against_oracle(grid, 6, 3, SeedStream(61))
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 3)])
+def test_wlp_test_and_verdict_match_the_oracle_over_q(qq, a, b):
+    grid = make_grid(a, b, qq, seed=SeedStream(62 + a + b))
+    _wlp_against_oracle(grid, 3, 2, SeedStream(63))
+
+
+def test_bx_bits_match_the_oracle(fp, grid36):
+    stream = SeedStream(64)
+    seq = bx_sequence(grid36, 8, trials=3, seed=stream)
+    bits = [
+        int(_oracle_verdict(_oracle_degrees(PowersHilbertTable(grid36, d), 3, stream.child("bx", d))))
+        for d in range(1, 9)
+    ]
+    assert seq.bits == bits
+
+
+def test_verdict_reads_no_degree_past_the_deciding_one(fp, grid36, monkeypatch):
+    # 3x6, d=8: maximal at 8, not at 9, so 9 decides the verdict
+    table = PowersHilbertTable(grid36, 8)
+    asked = []
+    basis = table.basis
+
+    def recorded(t):
+        asked.append(t)
+        return basis(t)
+
+    monkeypatch.setattr(table, "basis", recorded)
+    assert wlp_verdict(table, 3, 7) is False
+    assert max(asked) == 9
+    assert wlp_test(PowersHilbertTable(grid36, 8), 3, 7).failing[0] == 9
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_trials_stop_at_the_generic_cokernel(fp, grid36, monkeypatch, d):
+    # a degree pulls trials up to the first that is maximal or reaches
+    # the generic cokernel, and no degree past the first surjective one
+    # from d on pulls any
+    trials = _trial_reports(PowersHilbertTable(grid36, d), 3, 7)
+    pulled = []  # the degree of every map measured
+    measure = lefschetz._power_map
+
+    def recorded(table, power, t):
+        pulled.append(t)
+        return measure(table, power, t)
+
+    monkeypatch.setattr(lefschetz, "_power_map", recorded)
+    wlp_test(PowersHilbertTable(grid36, d), 3, 7)
+    onto = min(t for t, reps in trials.items() if t >= d and min(r.coker_dim for r in reps) == 0)
+    for t, reps in trials.items():
+        if t < d:
+            expected = 1  # injective below d
+        elif t > onto:
+            expected = 0
+        else:
+            target = ci_power_dim_formula(3, 6, t - d + 1, t)
+            assert min(r.coker_dim for r in reps) >= target
+            hits = [k for k, r in enumerate(reps) if r.maximal or r.coker_dim == target]
+            expected = hits[0] + 1 if hits else len(reps)
+        assert pulled.count(t) == expected, t
+    # every degree of this grid has a first trial at the generic cokernel
+    assert all(pulled.count(t) <= 1 for t in trials)
 
 
 def _map(coker):

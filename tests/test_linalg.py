@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from gridwlp.linalg import (
     pivot_columns,
     rref,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gridwlp"
 
 
 def _rng(seed):
@@ -397,6 +404,53 @@ def test_thread_control_is_looked_up_once(fp):
     _matmul_modp(x, x, fp.p)
     info = linalg._openblas_threads.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+_LOAD_PROBE = """
+import importlib.util, json, os, sys
+{pre}
+environ = dict(os.environ)
+
+def threads():
+    # gridwlp.linalg's lookup, loaded from its file so as not to import the
+    # package
+    spec = importlib.util.spec_from_file_location("probe_linalg", {linalg!r})
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod._openblas_threads()[0]()
+
+before = threads() if "numpy" in sys.modules else None
+import gridwlp
+print(json.dumps([before, threads(), dict(os.environ) == environ]))
+"""
+
+
+def _import_probe(pre="", **env):
+    """[count before, count after `import gridwlp`, environment unchanged]
+    in a fresh interpreter; the count before is read only when `pre` loads
+    numpy."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(env, PYTHONPATH=str(SRC.parent))
+    code = _LOAD_PROBE.format(pre=pre, linalg=str(SRC / "linalg.py"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loads_with_one_blas_thread_under_the_package():
+    if linalg._openblas_threads() is None:
+        pytest.skip("OpenBLAS not found")
+    # numpy not loaded yet: its pool starts with one thread, and the
+    # variable is gone again
+    assert _import_probe() == [None, 1, True]
+    # numpy loaded first: its count is left alone
+    before, after, kept = _import_probe("import numpy")
+    assert before == after and kept
+    # a count the caller chose is respected
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert _import_probe(OPENBLAS_NUM_THREADS="2") == [None, 2, True]
 
 
 def test_prime_and_rational_ranks_agree(fp, qq):

@@ -178,15 +178,16 @@ def _best_reports(table: PowersHilbertTable, trials: int, seed):
     """The best report of each degree of table.sweep(), lazily; `trials`
     generic forms are drawn once and reused in every degree.
 
-    Only ranks that can differ from what is known are measured. A trial's
-    form and grid lift to integers, and a rank can only drop mod p, so no
-    trial's cokernel at t >= d is below the characteristic-0 generic one. A
-    grid is geproci: a general projection of it is a complete intersection
-    of type (a, b), so by apolarity that cokernel is
-    ci_power_dim_formula(a, b, t - d + 1, t), and the first trial that
-    reaches it is the first of highest rank. A is generated in degree 1, so
-    once x ell is onto at some t >= d it is onto in every later degree: those
-    reports are fixed by a_(t-1) and a_t and need no rank.
+    Only ranks that can differ from what is known are measured. No trial's
+    cokernel at t >= d is below the characteristic-0 generic one: over Q by
+    semicontinuity, and over F_p because a trial's form and grid lift to
+    integers and a rank can only drop mod p. A grid is geproci: a general
+    projection of it is a complete intersection of type (a, b), so by
+    apolarity that cokernel is ci_power_dim_formula(a, b, t - d + 1, t), and
+    the first trial that reaches it is the first of highest rank. A is
+    generated in degree 1, so once x ell is onto at some t >= d it is onto
+    in every later degree: those reports are fixed by a_(t-1) and a_t and
+    need no rank.
     """
     grid, d = table.grid, table.d
     forms = draw_forms(grid, "generic", SeedStream.of(seed).child("form"), trials)

@@ -10,10 +10,10 @@ import os as _os
 import sys as _sys
 
 # OpenBLAS starts its thread pool when numpy loads, and its workers spin
-# then, before any product (linalg runs every product on one thread anyway).
-# So numpy is loaded with one thread, unless a caller loaded it first or
-# chose a count, and the variable is gone again before anything can inherit
-# it.
+# then, before any product. So numpy is loaded with one thread, unless a
+# caller loaded it first or chose a count, and the variable is gone again
+# before anything can inherit it. This is the only place gridwlp sets the
+# thread count.
 if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:

@@ -75,7 +75,7 @@ def _shift_columns(grading, src_deg, t, below=None) -> np.ndarray:
         return colmap
     keep = _below_mask(grading, t, below)
     new_col = np.where(keep, np.cumsum(keep) - 1, -1)
-    return new_col[colmap[_below_mask(grading, _shift_degree(grading, src_deg, t), below)]]
+    return new_col[colmap[_below_mask(grading, _shift_degree(src_deg, t), below)]]
 
 
 def shifted_products_matrix(polys, t, field, below=None) -> np.ndarray:
@@ -108,7 +108,7 @@ def shifted_product_blocks(polys, t, field, below=None):
         for f in polys:
             if f.grading != grading:
                 raise ValueError("mixed gradings")
-            if _shift_degree(grading, f.degree, t) is None:
+            if _shift_degree(f.degree, t) is None:
                 continue
             colmap = _shift_columns(grading, f.degree, t, below)
             rows, cols = np.nonzero(colmap >= 0)

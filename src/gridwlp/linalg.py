@@ -34,10 +34,6 @@ modular products take the rows of their left factor in chunks of
 are unique, so every output is byte-identical to the echelon of the whole
 matrix.
 
-Each product runs on one OpenBLAS thread, and the caller's thread count is
-restored after it. After a multithreaded call OpenBLAS's second worker
-spins, burning a core that the main thread could use.
-
 Over the rationals, a fraction-free elimination on primitive integer rows
 handles the small cross-check instances and is the oracle for the F_p
 kernel.
@@ -45,10 +41,7 @@ kernel.
 
 from __future__ import annotations
 
-import ctypes
-from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -79,57 +72,6 @@ def _check_cap(ncols: int):
         )
 
 
-@lru_cache(maxsize=1)
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
-
-    numpy has no call for this, so the library is looked up in this
-    process's memory map (Linux) under the symbol names of OpenBLAS builds:
-    plain, with the ``64_`` suffix of 64-bit-integer builds, and with the
-    ``scipy_`` prefix of the builds in numpy's wheels. The lookup reads the
-    map and loads the library (about 0.5 ms), so it runs once per process.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.rsplit("/", 1)[-1]})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas{}64_", "openblas{}64_", "openblas{}"):
-            get = getattr(lib, name.format("_get_num_threads"), None)
-            put = getattr(lib, name.format("_set_num_threads"), None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def single_blas_thread():
-    """Run the block with one thread per BLAS call; the caller's count is
-    restored on exit, also when the block raises.
-
-    ``_matmul_modp`` runs each of its products in this block, so the
-    kernel runs every product on one thread: OpenBLAS workers spin after
-    each multithreaded call, and a second worker burns a core that the main
-    thread, or a forked process, could use (README has the measured pairs).
-    Where OpenBLAS is not found this does nothing.
-    """
-    control = _openblas_threads()
-    if control is None:
-        yield
-        return
-    get, put = control
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def _mod(z: np.ndarray, p: int) -> np.ndarray:
     """Reduce a float64 array of integers with |z| < 2^53 - p mod p, in place.
 
@@ -155,30 +97,28 @@ def _matmul_modp(x, y, p: int, acc=None) -> np.ndarray:
     an inner dimension k < 2^20, so every sum BLAS forms is exact. The rows
     of x go through in chunks of ``_CHUNK``, each written to its rows of the
     output, so that the limbs of x and the products are never held whole.
-    The products run on one BLAS thread (see ``single_blas_thread``).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     assert x.shape[1] < 2**20, "limb products would reach 2^53"
     out = np.empty((x.shape[0], y.shape[1])) if acc is None else acc
-    with single_blas_thread():
-        y1, y0 = _limbs(y)
-        for start in range(0, x.shape[0], _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            x1, x0 = _limbs(x[rows])
-            z = np.matmul(x1, y1, out=None if acc is not None else out[rows])
-            _mod(z, p)
-            z *= 2.0**16
-            z += x1 @ y0
-            z += x0 @ y1
-            _mod(z, p)
-            z *= 2.0**16
-            z += x0 @ y0
-            _mod(z, p)
-            if acc is not None:
-                a = acc[rows]
-                a -= z
-                np.add(a, p, out=a, where=a < 0)
+    y1, y0 = _limbs(y)
+    for start in range(0, x.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        x1, x0 = _limbs(x[rows])
+        z = np.matmul(x1, y1, out=None if acc is not None else out[rows])
+        _mod(z, p)
+        z *= 2.0**16
+        z += x1 @ y0
+        z += x0 @ y1
+        _mod(z, p)
+        z *= 2.0**16
+        z += x0 @ y0
+        _mod(z, p)
+        if acc is not None:
+            a = acc[rows]
+            a -= z
+            np.add(a, p, out=a, where=a < 0)
     return out
 
 

@@ -125,27 +125,17 @@ def linear_form(coeffs, field, grading: Grading = TOTAL4) -> PolyVector:
     return PolyVector(grading, 1, vec, field)
 
 
-def _add_degrees(grading: Grading, d1, d2):
-    if grading.kind == "total":
-        return d1 + d2
-    return (d1[0] + d2[0], d1[1] + d2[1])
-
-
-def _shift_degree(grading: Grading, src_deg, t):
-    """Degree of the shift monomials taking degree src_deg to t; None when
-    that degree is negative."""
-    if grading.kind == "total":
-        shift_deg = t - src_deg
-        return shift_deg if shift_deg >= 0 else None
-    shift_deg = (t[0] - src_deg[0], t[1] - src_deg[1])
-    return shift_deg if min(shift_deg) >= 0 else None
+def _shift_degree(src_deg: int, t: int):
+    """Degree of the shift monomials taking degree src_deg to t in a total
+    grading; None when that degree is negative."""
+    return t - src_deg if t >= src_deg else None
 
 
 @lru_cache(maxsize=256)
 def _shift_column_map(grading: Grading, src_deg, t) -> np.ndarray:
     """Column indices of monomial * basis(src_deg) inside basis(t), one row
     per shift monomial of degree t - src_deg."""
-    shifts = np.array(graded_basis(grading, _shift_degree(grading, src_deg, t)))
+    shifts = np.array(graded_basis(grading, _shift_degree(src_deg, t)))
     src_basis = np.array(graded_basis(grading, src_deg))
     target = np.array(graded_basis(grading, t))
     # exponent vectors as base-`radix` integers: no exponent of a product
@@ -160,11 +150,12 @@ def _shift_column_map(grading: Grading, src_deg, t) -> np.ndarray:
 
 def poly_mul(f: PolyVector, g: PolyVector) -> PolyVector:
     """Product; degree adds, coefficients are the convolution: the outer
-    product of the coefficients scattered into the target basis."""
-    if f.grading != g.grading:
-        raise GradingMismatchError("poly_mul: grading mismatch")
+    product of the coefficients scattered into the target basis. Both factors
+    are in the same total grading: no caller multiplies bidegrees."""
+    if f.grading != g.grading or f.grading.kind != "total":
+        raise GradingMismatchError("poly_mul: factors need one total grading")
     field = f.field
-    deg = _add_degrees(f.grading, f.degree, g.degree)
+    deg = f.degree + g.degree
     out = zero_poly(f.grading, deg, field)
     dtype = object if field.rational else np.int64
     prods = np.multiply.outer(np.asarray(f.coeffs, dtype), np.asarray(g.coeffs, dtype))

@@ -39,7 +39,6 @@ from gridwlp.ideals import (
 )
 from gridwlp.linalg import rank, rref
 from gridwlp.polyspace import (
-    BIGRADED,
     TOTAL3,
     TOTAL4,
     basis_index,
@@ -349,12 +348,11 @@ def test_fat_points_cap_guard_before_assembly(fp, grid33, monkeypatch):
     [
         (TOTAL3, 0, 0), (TOTAL3, 1, 4), (TOTAL3, 10, 31),
         (TOTAL4, 3, 3), (TOTAL4, 2, 9), (TOTAL4, 10, 20),
-        (BIGRADED, (0, 0), (2, 3)), (BIGRADED, (1, 2), (3, 2)), (BIGRADED, (2, 2), (5, 4)),
     ],
 )
 def test_shift_column_map_matches_dict_build(grading, src_deg, t):
     # one basis_index lookup per (shift, monomial), as the map was first built
-    shift_deg = ideals._shift_degree(grading, src_deg, t)
+    shift_deg = ideals._shift_degree(src_deg, t)
     idx_t = basis_index(grading, t)
     expect = np.array(
         [

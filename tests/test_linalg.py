@@ -367,57 +367,28 @@ def test_matmul_modp_matches_object_arithmetic(fp):
     assert np.array_equal(_matmul_modp(x, y, fp.p), exact.astype(np.int64))
 
 
-def test_callers_thread_count_is_back_after_each_entry(fp, product_threads):
-    get, seen = product_threads
-    # the top half has rank 60 < 100 columns, so the bottom half is reduced
-    # by a product
-    mat = _rng(8).integers(0, fp.p, (120, 100))
-    for entry in (rank, rref, kernel_basis):
-        seen.clear()
-        entry(mat, fp)
-        assert seen and set(seen) == {1}, entry.__name__
-        assert get() == 2, entry.__name__
-
-
-def test_callers_thread_count_is_back_after_a_failed_product(fp, product_threads):
-    get, seen = product_threads
-    with pytest.raises(ValueError):
-        _matmul_modp(np.ones((2, 3)), np.ones((4, 2)), fp.p)
-    assert seen == [1] and get() == 2
-
-
-def test_results_do_not_depend_on_the_thread_control(fp, monkeypatch):
-    rng = _rng(9)
-    mats = [rng.integers(0, fp.p, (120, 100)), _low_rank(rng, 300, 80, 70, fp.p),
-            _low_rank(rng, 60, 250, 55, fp.p)]
-    with_control = [(rank(m, fp), rref(m, fp)) for m in mats]
-    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
-    for m, (r, (rows, piv)) in zip(mats, with_control):
-        rows_none, piv_none = rref(m, fp)
-        assert rank(m, fp) == r and piv_none == piv and np.array_equal(rows_none, rows)
-
-
-def test_thread_control_is_looked_up_once(fp):
-    x = _rng(10).integers(0, fp.p, (4, 4))
-    linalg._openblas_threads.cache_clear()
-    _matmul_modp(x, x, fp.p)
-    _matmul_modp(x, x, fp.p)
-    info = linalg._openblas_threads.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
 _LOAD_PROBE = """
-import importlib.util, json, os, sys
+import ctypes, json, os, sys
 {pre}
 environ = dict(os.environ)
 
 def threads():
-    # gridwlp.linalg's lookup, loaded from its file so as not to import the
-    # package
-    spec = importlib.util.spec_from_file_location("probe_linalg", {linalg!r})
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod._openblas_threads()[0]()
+    # the pool size of the OpenBLAS in this process, or None where none is
+    # found; the library is looked up in the memory map (Linux)
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({{ln.split()[-1] for ln in fh if "openblas" in ln.rsplit("/", 1)[-1]}})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
 
 before = threads() if "numpy" in sys.modules else None
 import gridwlp
@@ -431,7 +402,7 @@ def _import_probe(pre="", **env):
     numpy."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     environ.update(env, PYTHONPATH=str(SRC.parent))
-    code = _LOAD_PROBE.format(pre=pre, linalg=str(SRC / "linalg.py"))
+    code = _LOAD_PROBE.format(pre=pre)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=120
     )
@@ -440,11 +411,12 @@ def _import_probe(pre="", **env):
 
 
 def test_numpy_loads_with_one_blas_thread_under_the_package():
-    if linalg._openblas_threads() is None:
+    before, after, kept = _import_probe()
+    if after is None:
         pytest.skip("OpenBLAS not found")
     # numpy not loaded yet: its pool starts with one thread, and the
     # variable is gone again
-    assert _import_probe() == [None, 1, True]
+    assert [before, after, kept] == [None, 1, True]
     # numpy loaded first: its count is left alone
     before, after, kept = _import_probe("import numpy")
     assert before == after and kept

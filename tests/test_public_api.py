@@ -43,11 +43,13 @@ def _references(tree):
 
 def _attribute_reads(tree):
     # how often each name is read as an attribute inside `tree`, whatever
-    # the object: `rep.rank`, `self.basis(t)`, `SeedStream.of(seed)`
+    # the object: `rep.rank`, `self.basis(t)`, `SeedStream.of(seed)`; but a
+    # numpy function such as `np.add` is no read of an `add` method
     return Counter(
         node.attr
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
     )
 
 

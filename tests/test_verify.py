@@ -9,12 +9,11 @@ import os
 import signal
 import time
 
-import numpy as np
 import pytest
 
-from gridwlp import PowersHilbertTable, PrimeField, SeedStream, bx_sequence, ideals, rank, verify
+from gridwlp import PowersHilbertTable, PrimeField, SeedStream, bx_sequence, ideals, verify
 from gridwlp.cli import main
-from gridwlp.linalg import DimensionCapError, _openblas_threads
+from gridwlp.linalg import DimensionCapError
 from gridwlp.verify import (
     CheckResult,
     _Check,
@@ -184,37 +183,6 @@ def test_mode_agreement_runs_before_the_wait_for_the_rerun(monkeypatch):
     assert result.details[0] == "check 1 outcome stable across seeds: ok"
     assert all(d.startswith("rational vs prime: ") for d in result.details[1:])
     assert len(result.details) == 1 + len(dims(PrimeField()))
-
-
-def test_openblas_thread_control_is_found():
-    # numpy built on OpenBLAS: without the control both passes would run
-    # multithreaded BLAS on the same cores
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    if "openblas" not in blas:
-        pytest.skip(f"numpy uses {blas}")
-    assert _openblas_threads() is not None
-
-
-@needs_fork
-def test_both_passes_run_one_blas_thread(monkeypatch, product_threads):
-    # the count is read inside each product: the check's own body runs with
-    # the caller's count, which the suite leaves alone
-    get, seen = product_threads
-
-    def counts_threads(field, stream, trials=3, a_max=5):
-        # a pass that differs in the forked child fails check 11
-        c = _Check(1, "BLAS threads")
-        seen.clear()
-        rank(np.random.default_rng(0).integers(0, field.p, (120, 100)), field)
-        c.expect("threads in products", sorted(set(seen)), [1])
-        return c.done()
-
-    monkeypatch.setattr(verify, "_NUMBERED_CHECKS", [counts_threads])
-    results = run_suite(a_max=3)
-    assert get() == 2
-    assert [r.passed for r in results] == [True, True]
-    assert results[1].details[0] == "check 1 outcome stable across seeds: ok"
-    _assert_no_child_left()
 
 
 def _tables_built(monkeypatch):

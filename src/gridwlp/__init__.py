@@ -58,6 +58,7 @@ from .lefschetz import (
     BxSequence,
     MultMapReport,
     WlpReport,
+    best_maps,
     bx_sequence,
     mult_map_analysis,
     non_lefschetz_probe,

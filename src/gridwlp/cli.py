@@ -27,14 +27,7 @@ from .field import (
 from .formulas import coker_formula_geproci
 from .geometry import InvalidLocusError, make_grid
 from .ideals import PowersHilbertTable
-from .lefschetz import (
-    best_map,
-    bx_sequence,
-    draw_forms,
-    mult_map_analysis,
-    non_lefschetz_probe,
-    wlp_test,
-)
+from .lefschetz import best_maps, bx_sequence, non_lefschetz_probe, wlp_test
 from .linalg import DimensionCapError
 from .verify import run_suite
 
@@ -245,10 +238,10 @@ def cmd_hf(args) -> int:
 
 def cmd_coker(args) -> int:
     grid = _make_grid(args)
-    forms = draw_forms(grid, "generic", SeedStream(args.seed).child("form"), args.trials)
     table = PowersHilbertTable(grid, args.d)
+    stream = SeedStream(args.seed).child("form")
     # at a fixed t the highest rank is the lowest cokernel
-    best = best_map(mult_map_analysis(table, ell, args.t) for ell in forms)
+    (best,) = best_maps(table, "generic", stream, args.trials, [args.t])
     pred = coker_formula_geproci(grid.a, grid.b, args.d, args.t - args.d)
     payload = {
         "t": args.t,

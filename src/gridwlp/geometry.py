@@ -70,33 +70,18 @@ class GridConfig:
         return x2 == f.mul(self.v[j], x1) and x4 == f.mul(self.v[j], x3)
 
     def is_grid_point(self, point) -> bool:
-        return self._grid_point_index(point) is not None
-
-    def _grid_point_index(self, point):
+        """Whether `point` is proportional to a grid point (1, v_j, u_i, u_i v_j):
+        its x1 is nonzero, and x3/x1 = u_i, x2/x1 = v_j and x4/x1 = u_i v_j."""
         f = self.field
-        pt = [f.normalize(c) for c in point]
-        for i in range(self.a):
-            for j in range(self.b):
-                if _proportional(pt, list(self.point(i, j)), f):
-                    return (i, j)
-        return None
+        x1, x2, x3, x4 = [f.normalize(c) for c in point]
+        if x1 == 0:
+            return False
+        u, v = f.div(x3, x1), f.div(x2, x1)
+        return u in self.u and v in self.v and f.div(x4, x1) == f.mul(u, v)
 
     def param_pairs(self) -> list:
         """The (u_i, v_j) parameter pairs: the grid as points of P^1 x P^1."""
         return [(self.u[i], self.v[j]) for i in range(self.a) for j in range(self.b)]
-
-
-def _proportional(x, y, field) -> bool:
-    n = len(x)
-    for i in range(n):
-        if (x[i] == 0) != (y[i] == 0):
-            return False
-    try:
-        k = next(i for i in range(n) if x[i] != 0)
-    except StopIteration:
-        return True
-    ratio = field.div(y[k], x[k])
-    return all(field.mul(ratio, x[i]) == y[i] for i in range(n))
 
 
 def make_grid(a: int, b: int, field, seed=None, u=None, v=None) -> GridConfig:
@@ -148,7 +133,11 @@ def sample_form(grid: GridConfig, locus, stream: SeedStream) -> tuple:
     """
     f = grid.field
     if locus == "generic" or locus == ("generic",):
-        return tuple(stream.scalar(f) for _ in range(4))
+        for _ in range(64):
+            pt = tuple(stream.scalar(f) for _ in range(4))
+            if not grid.is_grid_point(pt):
+                return pt
+        raise InvalidLocusError("could not sample a generic form off the grid points")
     if not isinstance(locus, tuple) or not locus:
         raise InvalidLocusError(f"bad locus {locus!r}")
     kind = locus[0]

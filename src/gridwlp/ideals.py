@@ -35,6 +35,7 @@ from .polyspace import (
     BIGRADED,
     TOTAL3,
     TOTAL4,
+    GradingMismatchError,
     PolyVector,
     basis_size,
     check_power,
@@ -90,8 +91,8 @@ def shifted_products_matrix(polys, t, field, below=None) -> np.ndarray:
 def shifted_product_blocks(polys, t, field, below=None):
     """(n_t, blocks): the dimension of the degree-t piece and an iterator
     over one row block per poly, its products with the monomials of degree
-    t - deg f; a poly of degree above t has none. A block is built only
-    when it is reached.
+    t - deg f; a poly of degree above t has none. The polys share one
+    total grading. A block is built only when it is reached.
 
     With below=e the span is taken in the quotient by (x_1^e, ..., x_n^e):
     only shifts and columns whose exponents are all < e are kept, since every
@@ -101,13 +102,13 @@ def shifted_product_blocks(polys, t, field, below=None):
     if not polys:
         raise ValueError("no polynomials given")
     grading = polys[0].grading
+    if grading.kind != "total" or any(f.grading != grading for f in polys):
+        raise GradingMismatchError("shifted products need one total grading")
     n_t = basis_size(grading, t) if below is None else int(_below_mask(grading, t, below).sum())
     _check_cap(n_t)
 
     def blocks():
         for f in polys:
-            if f.grading != grading:
-                raise ValueError("mixed gradings")
             if _shift_degree(f.degree, t) is None:
                 continue
             colmap = _shift_columns(grading, f.degree, t, below)

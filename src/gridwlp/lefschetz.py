@@ -174,30 +174,39 @@ def best_map(reports, stop_coker=None) -> MultMapReport:
     return best
 
 
-def _best_reports(table: PowersHilbertTable, trials: int, seed):
-    """The best report of each degree of table.sweep(), lazily; `trials`
-    generic forms are drawn once and reused in every degree.
+def best_maps(
+    table: PowersHilbertTable, locus, stream: SeedStream, trials: int, degrees=None, k: int = 1
+):
+    """The first report of highest rank of x ell^k into each degree of
+    `degrees`, ascending (default: every t >= k of table.sweep()), lazily;
+    `trials` forms of `locus` are drawn from `stream` once and reused in
+    every degree.
 
-    Only ranks that can differ from what is known are measured. No trial's
-    cokernel at t >= d is below the characteristic-0 generic one: over Q by
-    semicontinuity, and over F_p because a trial's form and grid lift to
-    integers and a rank can only drop mod p. A grid is geproci: a general
-    projection of it is a complete intersection of type (a, b), so by
-    apolarity that cokernel is ci_power_dim_formula(a, b, t - d + 1, t), and
-    the first trial that reaches it is the first of highest rank. A is
-    generated in degree 1, so once x ell is onto at some t >= d it is onto
-    in every later degree: those reports are fixed by a_(t-1) and a_t and
-    need no rank.
+    Only ranks that can differ from what is known are measured, and both
+    rules hold for every form, not only a generic one. For k = 1 and t >= d
+    no form's cokernel is below the characteristic-0 generic one: over Q by
+    semicontinuity, and over F_p because the form and grid lift to integers
+    and a rank can only drop mod p. A grid is geproci: a general projection
+    of it is a complete intersection of type (a, b), so by apolarity that
+    cokernel is ci_power_dim_formula(a, b, t - d + 1, t), and the first
+    trial that reaches it is the first of highest rank. A is generated in
+    degree 1, so once x ell^k is onto at some t >= d it is onto in every
+    later degree: those reports are fixed by a_(t-k) and a_t and need no
+    rank.
     """
     grid, d = table.grid, table.d
-    forms = draw_forms(grid, "generic", SeedStream.of(seed).child("form"), trials)
-    powers = [_power_in_b(grid, ell, 1) for ell in forms]
+    powers = [_power_in_b(grid, ell, k) for ell in draw_forms(grid, locus, stream, trials)]
+    if degrees is None:
+        degrees = (t for t in table.sweep() if t >= k)
     onto = False
-    for t in table.sweep():
+    for t in degrees:
+        if t < k:
+            raise LefschetzError(f"degree t must be >= {k}")
         if onto:
-            rep = MultMapReport.from_coker(t, table.quotient_dim(t - 1), table.quotient_dim(t), 0)
+            rep = MultMapReport.from_coker(t, table.quotient_dim(t - k), table.quotient_dim(t), 0)
         else:
-            target = ci_power_dim_formula(grid.a, grid.b, t - d + 1, t) if t >= d else None
+            closed_form = k == 1 and t >= d
+            target = ci_power_dim_formula(grid.a, grid.b, t - d + 1, t) if closed_form else None
             rep = best_map((_power_map(table, p, t) for p in powers), stop_coker=target)
             onto = t >= d and rep.coker_dim == 0
         yield rep
@@ -208,7 +217,7 @@ def wlp_test(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> WlpRe
     `trials` independent generic forms, drawn once and reused in every
     degree. Maximal rank certified by any single trial; failure requires all
     trials to agree."""
-    reports = list(_best_reports(table, trials, seed))
+    reports = list(best_maps(table, "generic", SeedStream.of(seed).child("form"), trials))
     failing = [rep.t for rep in reports if not rep.maximal]
     out = WlpReport(
         grid=table.grid,
@@ -226,7 +235,7 @@ def wlp_verdict(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> bo
     """wlp_test(table, trials, seed).verdict, read up to the degree that
     decides it: the first non-maximal degree (False), or the first
     surjective one from d on (True), past which every map is onto."""
-    for rep in _best_reports(table, trials, seed):
+    for rep in best_maps(table, "generic", SeedStream.of(seed).child("form"), trials):
         if not rep.maximal:
             return False
         if rep.t >= table.d and rep.coker_dim == 0:
@@ -291,21 +300,18 @@ def non_lefschetz_probe(
     stream = SeedStream.of(seed)
     grid, d = table.grid, table.d
     degs = critical_degrees(grid.a, d)
-    if degs is None:
-        degs = table.sweep()
-    else:
-        degs = [t for t in degs if table.quotient_dim(t) > 0 and t >= 1]
-    gen_powers, spec_powers = (
-        [_power_in_b(grid, ell, 1) for ell in draw_forms(grid, kind, stream.child(label), trials)]
-        for kind, label in (("generic", "form"), (locus, "locus-form"))
-    )
-    entries = []
-    for t in degs:
-        gen, spe = (
-            best_map(_power_map(table, p, t) for p in powers)
-            for powers in (gen_powers, spec_powers)
+    if degs is not None:
+        degs = [t for t in degs if table.quotient_dim(t) > 0]
+    # the two walks advance in step: the table keeps only its last basis.
+    # The special one goes first, so that its draw checks the locus even
+    # where no degree is probed
+    entries = [
+        ProbeEntry(t=spe.t, generic=gen, specialized=spe)
+        for spe, gen in zip(
+            best_maps(table, locus, stream.child("locus-form"), trials, degs),
+            best_maps(table, "generic", stream.child("form"), trials, degs),
         )
-        entries.append(ProbeEntry(t=t, generic=gen, specialized=spe))
+    ]
     member = any(not e.achieves_generic for e in entries)
     return NonLefschetzReport(
         grid=grid, d=d, locus=locus, entries=entries, member_of_locus=member
@@ -320,10 +326,7 @@ def slp_probe(table: PowersHilbertTable, k: int, trials: int = 3, seed=0xC0FFEE)
         raise LefschetzError("k must be >= 1")
     if k == 1:
         return wlp_test(table, trials, seed).degrees
-    grid = table.grid
-    forms = draw_forms(grid, "generic", SeedStream.of(seed).child("slp-form"), trials)
-    powers = [_power_in_b(grid, ell, k) for ell in forms]
-    return [best_map(_power_map(table, p, t) for p in powers) for t in table.sweep() if t >= k]
+    return list(best_maps(table, "generic", SeedStream.of(seed).child("slp-form"), trials, k=k))
 
 
 @dataclass

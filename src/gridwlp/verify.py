@@ -36,14 +36,7 @@ from .ideals import (
     powers_ideal_dim,
     socle_dims,
 )
-from .lefschetz import (
-    best_map,
-    draw_forms,
-    mult_map_analysis,
-    non_lefschetz_probe,
-    wlp_test,
-    wlp_verdict,
-)
+from .lefschetz import best_maps, non_lefschetz_probe, wlp_test, wlp_verdict
 from .polyspace import TOTAL3, dim_total, poly_mul, zero_poly
 
 
@@ -158,10 +151,7 @@ def check_coker_formula(field, stream, trials=3, a_max=5) -> CheckResult:
                 pred = coker_formula_geproci(a, a, d, t)
                 if pred is None:
                     continue
-                forms = draw_forms(grid, "generic", stream.child("ck", a, d, t), trials)
-                best = best_map(
-                    (mult_map_analysis(table, ell, d + t) for ell in forms), stop_coker=pred
-                )
+                (best,) = best_maps(table, "generic", stream.child("ck", a, d, t), trials, [d + t])
                 c.expect(f"a={a} d={d} t={t} coker", best.coker_dim, pred)
     return c.done()
 
@@ -333,8 +323,8 @@ def _run_checks(field, stream, trials, a_max, progress=None):
     return results
 
 
-def _rerun_signatures(field, trials, a_max, seed2=_SEED2):
-    return [r.signature() for r in _run_checks(field, SeedStream(seed2), trials, a_max)]
+def _rerun_signatures(field, trials, a_max):
+    return [r.signature() for r in _run_checks(field, SeedStream(_SEED2), trials, a_max)]
 
 
 class _ForkedRerun:
@@ -399,18 +389,16 @@ class _ForkedRerun:
             self.pid = None
 
 
-def check_determinism_and_modes(
-    field, first_run, trials=3, a_max=5, seed2=_SEED2, rerun=None
-) -> CheckResult:
+def check_determinism_and_modes(field, first_run, trials=3, a_max=5, rerun=None) -> CheckResult:
     """Criterion: rerunning every check under a different seed yields byte-
     identical outcomes, and prime vs rational dimensions agree on the a=3
-    subset. `rerun` is a `_ForkedRerun` started under `seed2`; without one,
+    subset. `rerun` is a `_ForkedRerun`, run under `_SEED2`; without one,
     the second pass runs here. The mode agreement is computed first, while
     the forked pass may still be running, and reported last."""
     c = _Check(11, "determinism and mode agreement")
     modes = _modes(field)
     if rerun is None:
-        redo = _rerun_signatures(field, trials, a_max, seed2)
+        redo = _rerun_signatures(field, trials, a_max)
     else:
         redo = rerun.signatures()
     for prior, sig in zip(first_run, redo):

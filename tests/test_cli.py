@@ -151,6 +151,22 @@ def test_zero_trials_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
+def test_coker_below_degree_one_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "coker", "--a", "3", "--b", "3", "--d", "3", "--t", "0")
+    assert code == 1
+    assert err == "error: degree t must be >= 1\n"
+    assert out == ""
+
+
+def test_generic_draw_on_a_grid_point_is_redrawn(capsys):
+    # over F_7 a first draw of seed 8 is dual to a grid point of the 3x4 grid
+    code, out, err = run_cli(
+        capsys, "wlp", "--a", "3", "--b", "4", "--d", "1", "--prime", "7", "--seed", "8"
+    )
+    assert code == 0 and err == ""
+    assert "WLP holds" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gridwlp import (
@@ -9,6 +10,7 @@ from gridwlp import (
 )
 from gridwlp.field import PrimeTooSmallError
 from gridwlp.geometry import GridError, InvalidLocusError
+from gridwlp.linalg import rank
 from gridwlp.polyspace import TOTAL4, vanishing_rows
 
 
@@ -138,6 +140,28 @@ def test_invalid_locus_rejected(fp, grid33):
         sample_form(grid33, ("chord", (0, 0), (0, 0)), s)
     with pytest.raises(InvalidLocusError):
         sample_form(grid33, ("moon",), s)
+
+
+def test_is_grid_point_matches_proportionality():
+    # over F_7 every vector of 4 residues below, zeros included; the oracle
+    # is rank <= 1 of the vector stacked on a grid point
+    field = PrimeField(7)
+    grid = make_grid(3, 4, field, seed=SeedStream(10))
+    stream = SeedStream(11)
+    vectors = [[stream.below(7) for _ in range(4)] for _ in range(400)]
+    vectors += [[field.mul(c, x) for x in p] for p in grid.points() for c in range(1, 7)]
+    hits = 0
+    for x in vectors:
+        oracle = any(rank(np.array([x, p], dtype=np.int64), field) <= 1 for p in grid.points())
+        assert grid.is_grid_point(x) == (oracle and any(x)), x
+        hits += oracle and any(x)
+    assert hits > 72
+
+def test_generic_draw_gives_up_after_64_grid_points(fp, grid33, monkeypatch):
+    # the bound of the plane draw: every draw lands on a grid point here
+    monkeypatch.setattr(geometry.GridConfig, "is_grid_point", lambda self, point: True)
+    with pytest.raises(InvalidLocusError, match="off the grid points"):
+        sample_form(grid33, "generic", SeedStream(9))
 
 
 def _collinear_pairs(grid, p):

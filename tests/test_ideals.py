@@ -39,12 +39,15 @@ from gridwlp.ideals import (
 )
 from gridwlp.linalg import rank, rref
 from gridwlp.polyspace import (
+    BIGRADED,
     TOTAL3,
     TOTAL4,
+    GradingMismatchError,
     basis_index,
     dim_total,
     graded_basis,
     linear_power,
+    poly_from_terms,
     poly_mul,
     zero_poly,
 )
@@ -363,6 +366,18 @@ def test_shift_column_map_matches_dict_build(grading, src_deg, t):
     )
     got = ideals._shift_column_map(grading, src_deg, t)
     assert got.dtype == np.int64 and np.array_equal(got, expect)
+
+
+def test_shifted_products_refuse_other_than_one_total_grading(fp):
+    # refused before any block is built: a bidegree once failed with a bare
+    # TypeError at (3, 1) and gave a 0x4 matrix at (1, 1)
+    f = poly_from_terms(BIGRADED, (2, 0), {(2, 0, 0, 0): 1}, fp)
+    for t in ((3, 1), (1, 1)):
+        with pytest.raises(GradingMismatchError):
+            shifted_products_matrix([f], t, fp)
+    mixed = [linear_power((1, 2, 3, 4), 1, fp), linear_power((1, 2, 3), 1, fp, TOTAL3)]
+    with pytest.raises(GradingMismatchError):
+        shifted_products_matrix(mixed, 2, fp)
 
 
 def test_fat_points_examples(fp, grid33, grid36):

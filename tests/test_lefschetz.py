@@ -20,6 +20,7 @@ from gridwlp import (
     wlp_verdict,
 )
 from gridwlp import lefschetz
+from gridwlp.geometry import InvalidLocusError
 from gridwlp.ideals import power_generators, shifted_products_matrix
 from gridwlp.lefschetz import (
     LefschetzError,
@@ -27,6 +28,7 @@ from gridwlp.lefschetz import (
     _power_in_b,
     _power_map,
     best_map,
+    best_maps,
     draw_forms,
 )
 from gridwlp.polyspace import dim_total, linear_power
@@ -226,6 +228,13 @@ def test_probe_plane_fails_for_higher_multiple(fp, grid33):
     assert rep.member_of_locus
 
 
+def test_probe_checks_the_locus_where_no_degree_is_probed(fp, grid33):
+    # d = 1: A_1 = 0, so the sweep is empty
+    assert list(PowersHilbertTable(grid33, 1).sweep()) == []
+    with pytest.raises(InvalidLocusError, match="out of range"):
+        non_lefschetz_probe(PowersHilbertTable(grid33, 1), ("plane", 8, 8), trials=2, seed=18)
+
+
 def test_probe_rejects_wrong_powers(fp, grid33):
     with pytest.raises(LefschetzError):
         non_lefschetz_probe(PowersHilbertTable(grid33, 3), ("plane", 0, 0), trials=1, seed=18)
@@ -270,20 +279,22 @@ def test_bx_nonsquare_flags_conjectural_region(fp):
     assert data["conjectural_d"] == [3, 4]
 
 
-def _trial_reports(table, trials, seed):
-    """Every trial's report in every degree of the sweep, none skipped:
-    {t: [report of trial 0, trial 1, ...]}."""
-    forms = draw_forms(table.grid, "generic", SeedStream.of(seed).child("form"), trials)
+def _trial_reports(table, trials, stream, locus="generic", degrees=None):
+    """Every trial's report in every degree (default: of the sweep), none
+    skipped: {t: [report of trial 0, trial 1, ...]}, for the forms of
+    `locus` drawn from `stream`."""
+    forms = draw_forms(table.grid, locus, stream, trials)
     powers = [_power_in_b(table.grid, ell, 1) for ell in forms]
-    return {t: [_power_map(table, p, t) for p in powers] for t in table.sweep()}
+    degrees = table.sweep() if degrees is None else degrees
+    return {t: [_power_map(table, p, t) for p in powers] for t in degrees}
 
 
-def _oracle_degrees(table, trials, seed):
+def _oracle_degrees(table, trials, stream, locus="generic", degrees=None):
     # the first report of highest rank in each degree; max keeps the first
     # of equal keys
     return [
         max(reps, key=lambda r: r.rank).as_dict()
-        for reps in _trial_reports(table, trials, seed).values()
+        for reps in _trial_reports(table, trials, stream, locus, degrees).values()
     ]
 
 
@@ -293,7 +304,7 @@ def _oracle_verdict(degrees):
 
 def _wlp_against_oracle(grid, d_max, trials, seed):
     for d in range(1, d_max + 1):
-        oracle = _oracle_degrees(PowersHilbertTable(grid, d), trials, seed.child(d))
+        oracle = _oracle_degrees(PowersHilbertTable(grid, d), trials, seed.child(d, "form"))
         rep = wlp_test(PowersHilbertTable(grid, d), trials, seed.child(d))
         assert [r.as_dict() for r in rep.degrees] == oracle, d
         verdict = wlp_verdict(PowersHilbertTable(grid, d), trials, seed.child(d))
@@ -322,11 +333,63 @@ def test_wlp_test_and_verdict_match_the_oracle_over_q(qq, a, b):
 def test_bx_bits_match_the_oracle(fp, grid36):
     stream = SeedStream(64)
     seq = bx_sequence(grid36, 8, trials=3, seed=stream)
-    bits = [
-        int(_oracle_verdict(_oracle_degrees(PowersHilbertTable(grid36, d), 3, stream.child("bx", d))))
+    oracles = [
+        _oracle_degrees(PowersHilbertTable(grid36, d), 3, stream.child("bx", d, "form"))
         for d in range(1, 9)
     ]
+    bits = [int(_oracle_verdict(oracle)) for oracle in oracles]
     assert seq.bits == bits
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 6])
+@pytest.mark.parametrize("locus", LOCI, ids=str)
+def test_probe_matches_the_all_trials_oracle(fp, grid33, locus, d):
+    # d <= a-1 probes the sweep, d = 4, 6 the critical degrees; the probe
+    # stops at the generic cokernel and fixes the degrees past the first
+    # surjective one, the oracle ranks every trial in every degree
+    stream = SeedStream(65).child(d)
+    table = PowersHilbertTable(grid33, d)
+    degrees = lefschetz.critical_degrees(3, d)
+    generic = _oracle_degrees(table, 3, stream.child("form"), "generic", degrees)
+    special = _oracle_degrees(table, 3, stream.child("locus-form"), locus, degrees)
+    rep = non_lefschetz_probe(PowersHilbertTable(grid33, d), locus, 3, stream)
+    assert [e.t for e in rep.entries] == list(degrees or table.sweep())
+    assert [(e.generic.as_dict(), e.specialized.as_dict()) for e in rep.entries] == list(
+        zip(generic, special)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_best_maps_match_the_all_trials_oracle_for_powers(fp, grid33, k):
+    # x ell^k in every sweep degree t >= k, every trial ranked
+    table = PowersHilbertTable(grid33, 4)
+    stream = SeedStream(66)
+    forms = draw_forms(grid33, "generic", stream, 3)
+    powers = [_power_in_b(grid33, ell, k) for ell in forms]
+    oracle = [
+        max((_power_map(table, p, t) for p in powers), key=lambda r: r.rank)
+        for t in table.sweep()
+        if t >= k
+    ]
+    assert list(best_maps(PowersHilbertTable(grid33, 4), "generic", stream, 3, k=k)) == oracle
+
+
+def test_best_maps_reject_degrees_below_the_power(fp, grid33):
+    table = PowersHilbertTable(grid33, 3)
+    with pytest.raises(LefschetzError, match="degree t must be >= 1"):
+        next(best_maps(table, "generic", SeedStream(67), 2, [0]))
+    with pytest.raises(LefschetzError, match="degree t must be >= 2"):
+        next(best_maps(table, "generic", SeedStream(67), 2, [1, 2], k=2))
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 4), (3, 5), (4, 4)])
+def test_generic_draws_on_a_grid_point_are_redrawn(a, b):
+    # over F_7 a first draw of SeedStream(8) is dual to a grid point of each
+    # of these grids: that form is drawn again from the same stream
+    grid = make_grid(a, b, PrimeField(7), seed=SeedStream(8))
+    firsts = [SeedStream(8).child("form", k) for k in range(3)]
+    assert any(grid.is_grid_point([s.scalar(grid.field) for _ in range(4)]) for s in firsts)
+    assert wlp_test(PowersHilbertTable(grid, 1), 3, SeedStream(8)).verdict
 
 
 def test_verdict_reads_no_degree_past_the_deciding_one(fp, grid36, monkeypatch):
@@ -350,7 +413,7 @@ def test_trials_stop_at_the_generic_cokernel(fp, grid36, monkeypatch, d):
     # a degree pulls trials up to the first that is maximal or reaches
     # the generic cokernel, and no degree past the first surjective one
     # from d on pulls any
-    trials = _trial_reports(PowersHilbertTable(grid36, d), 3, 7)
+    trials = _trial_reports(PowersHilbertTable(grid36, d), 3, SeedStream(7).child("form"))
     pulled = []  # the degree of every map measured
     measure = lefschetz._power_map
 

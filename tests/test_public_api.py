@@ -19,6 +19,7 @@ ALLOWED = {
     "fat_points_piece": "pinned by the benchmark tracer (perfbench/tracer.py)",
     "perp_piece": "pinned by the benchmark tracer (perfbench/tracer.py)",
     "slp_probe": "pinned by the benchmark tracer (perfbench/tracer.py)",
+    "mult_map_analysis": "pinned by the benchmark tracer (perfbench/tracer.py)",
     "power_generators": "pinned by the benchmark tracer (perfbench/tracer.py); test oracle of [I]_t",
     "square_coker_and_delta": "paper formula, to be confronted with measurement (ROADMAP item 2)",
     "nonsquare_coker": "paper formula, to be confronted with measurement (ROADMAP item 2)",

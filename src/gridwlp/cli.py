@@ -140,17 +140,20 @@ def _parse_locus(text: str):
     if text == "generic":
         return "generic"
     kind, _, rest = text.partition(":")
-    if kind == "plane":
-        i, j = (int(x) for x in rest.split(","))
-        return ("plane", i - 1, j - 1)
-    if kind == "ruling":
-        which, idx = rest.split(",")
-        return ("ruling", which.strip(), int(idx) - 1)
-    if kind == "chord":
-        first, second = rest.split(";")
-        i, j = (int(x) for x in first.split(","))
-        k, l = (int(x) for x in second.split(","))
-        return ("chord", (i - 1, j - 1), (k - 1, l - 1))
+    try:
+        if kind == "plane":
+            i, j = (int(x) for x in rest.split(","))
+            return ("plane", i - 1, j - 1)
+        if kind == "ruling":
+            which, idx = rest.split(",")
+            return ("ruling", which.strip(), int(idx) - 1)
+        if kind == "chord":
+            first, second = rest.split(";")
+            i, j = (int(x) for x in first.split(","))
+            k, l = (int(x) for x in second.split(","))
+            return ("chord", (i - 1, j - 1), (k - 1, l - 1))
+    except ValueError:
+        pass  # a wrong count or a non-integer index
     raise InvalidLocusError(f"cannot parse locus {text!r}")
 
 

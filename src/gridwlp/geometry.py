@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .field import PrimeTooSmallError, SeedStream
-from .linalg import rank
 from .polyspace import TOTAL4, PolyVector, poly_from_terms
 
 
@@ -56,18 +53,6 @@ class GridConfig:
         return poly_from_terms(
             TOTAL4, 2, {(1, 0, 0, 1): f.one, (0, 1, 1, 0): f.neg(f.one)}, f
         )
-
-    def on_lambda(self, i: int, point) -> bool:
-        """The ruling line with u fixed at u_i: x3 = u_i x1 and x4 = u_i x2."""
-        f = self.field
-        x1, x2, x3, x4 = [f.normalize(c) for c in point]
-        return x3 == f.mul(self.u[i], x1) and x4 == f.mul(self.u[i], x2)
-
-    def on_mu(self, j: int, point) -> bool:
-        """The ruling line with v fixed at v_j: x2 = v_j x1 and x4 = v_j x3."""
-        f = self.field
-        x1, x2, x3, x4 = [f.normalize(c) for c in point]
-        return x2 == f.mul(self.v[j], x1) and x4 == f.mul(self.v[j], x3)
 
     def is_grid_point(self, point) -> bool:
         """Whether `point` is proportional to a grid point (1, v_j, u_i, u_i v_j):
@@ -130,59 +115,71 @@ def sample_form(grid: GridConfig, locus, stream: SeedStream) -> tuple:
 
     locus: "generic" | ("plane", i, j) | ("ruling", "lambda", i) |
            ("ruling", "mu", j) | ("chord", (i1, j1), (i2, j2))
+
+    Every locus is drawn by one rule: draw a point of it, and draw again while
+    the point is special, at most 64 times. A plane point is special on a line
+    through two grid points (which holds every grid point and ruling line);
+    any other point is special on a grid point.
     """
-    f = grid.field
-    if locus == "generic" or locus == ("generic",):
-        for _ in range(64):
-            pt = tuple(stream.scalar(f) for _ in range(4))
-            if not grid.is_grid_point(pt):
-                return pt
-        raise InvalidLocusError("could not sample a generic form off the grid points")
-    if not isinstance(locus, tuple) or not locus:
-        raise InvalidLocusError(f"bad locus {locus!r}")
-    kind = locus[0]
+    draw, special = _locus_rule(grid, locus)
+    for _ in range(64):
+        pt = draw(stream)
+        if not special(pt):
+            return pt
+    raise InvalidLocusError(
+        f"could not sample {locus!r} off the grid points (for a plane, off the lines through two)"
+    )
+
+
+def _locus_rule(grid: GridConfig, locus) -> tuple:
+    """(draw, special) for a checked locus: draw(stream) is a point of it."""
+    f, u, v = grid.field, grid.u, grid.v
+    if locus == "generic":
+        return (lambda s: tuple(s.scalar(f) for _ in range(4))), grid.is_grid_point
+    kind = locus[0] if isinstance(locus, tuple) and len(locus) == 3 else None
     if kind == "plane":
         _, i, j = locus
         _check_indices(grid, i, j)
-        for _ in range(64):
-            # random point of Lambda_ij: x4 = u_i x2 + v_j x3 - u_i v_j x1
-            x1, x2, x3 = (stream.scalar(f) for _ in range(3))
-            x4 = f.sub(
-                f.add(f.mul(grid.u[i], x2), f.mul(grid.v[j], x3)),
-                f.mul(f.mul(grid.u[i], grid.v[j]), x1),
-            )
-            pt = (x1, x2, x3, x4)
-            if _off_configuration_lines(grid, pt):
-                return pt
-        raise InvalidLocusError("could not sample a plane point off the lines")
-    if kind == "ruling":
-        _, which, i = locus
-        if which == "lambda":
-            if not 0 <= i < grid.a:
-                raise InvalidLocusError("lambda index out of range")
-            for _ in range(64):
-                t = stream.scalar(f)
-                if t not in grid.v:
-                    return (f.one, t, grid.u[i], f.mul(grid.u[i], t))
-        elif which == "mu":
-            if not 0 <= i < grid.b:
-                raise InvalidLocusError("mu index out of range")
-            for _ in range(64):
-                t = stream.scalar(f)
-                if t not in grid.u:
-                    return (f.one, grid.v[i], t, f.mul(t, grid.v[i]))
-        raise InvalidLocusError(f"bad ruling locus {locus!r}")
+
+        def draw(s):
+            # a point of Lambda_ij: x4 = u_i x2 + v_j x3 - u_i v_j x1
+            x1, x2, x3 = (s.scalar(f) for _ in range(3))
+            x4 = f.sub(f.add(f.mul(u[i], x2), f.mul(v[j], x3)), f.mul(f.mul(u[i], v[j]), x1))
+            return (x1, x2, x3, x4)
+
+        pts = grid.points()
+        return draw, lambda pt: any(
+            _on_line(pt, p, q, f) for s, p in enumerate(pts) for q in pts[s + 1 :]
+        )
+    if kind == "ruling" and locus[1] == "lambda":
+        i = locus[2]
+        if not 0 <= i < grid.a:
+            raise InvalidLocusError("lambda index out of range")
+        return (lambda s: _ruling_point(f, u[i], s.scalar(f))), grid.is_grid_point
+    if kind == "ruling" and locus[1] == "mu":
+        j = locus[2]
+        if not 0 <= j < grid.b:
+            raise InvalidLocusError("mu index out of range")
+        return (lambda s: _ruling_point(f, s.scalar(f), v[j])), grid.is_grid_point
     if kind == "chord":
         _, pij, pkl = locus
         if pij == pkl:
             raise InvalidLocusError("chord endpoints must be distinct grid points")
         _check_indices(grid, *pij)
         _check_indices(grid, *pkl)
-        p1 = grid.point(*pij)
-        p2 = grid.point(*pkl)
-        c = stream.scalar(f)
-        return tuple(f.add(x, f.mul(c, y)) for x, y in zip(p1, p2))
-    raise InvalidLocusError(f"bad locus {locus!r}")
+        p1, p2 = grid.point(*pij), grid.point(*pkl)
+
+        def draw(s):
+            c = s.scalar(f)
+            return tuple(f.add(x, f.mul(c, y)) for x, y in zip(p1, p2))
+
+        return draw, grid.is_grid_point
+    raise InvalidLocusError(f"bad {'ruling ' if kind == 'ruling' else ''}locus {locus!r}")
+
+
+def _ruling_point(f, s, t) -> tuple:
+    # the point of P^1 x P^1 with parameters (s, t)
+    return (f.one, t, s, f.mul(s, t))
 
 
 def _check_indices(grid, i, j):
@@ -190,28 +187,14 @@ def _check_indices(grid, i, j):
         raise InvalidLocusError(f"grid index ({i},{j}) out of range")
 
 
-def _off_configuration_lines(grid: GridConfig, pt) -> bool:
-    if grid.is_grid_point(pt):
-        return False
-    for i in range(grid.a):
-        if grid.on_lambda(i, pt):
-            return False
-    for j in range(grid.b):
-        if grid.on_mu(j, pt):
-            return False
-    pts = grid.points()
-    f = grid.field
-    for s in range(len(pts)):
-        for t in range(s + 1, len(pts)):
-            if _on_line(pt, pts[s], pts[t], f):
-                return False
-    return True
-
-
 def _on_line(x, p, q, field) -> bool:
-    mat = np.array(
-        [[field.normalize(c) for c in x], list(p), list(q)], dtype=object
+    """Whether x lies on the line through p and q, distinct points with first
+    coordinate 1: whether x - x1 p is a multiple of q - p, that is, whether
+    the 2x2 minors of those two vectors on coordinates 2-4 vanish."""
+    f = field
+    x = [f.normalize(c) for c in x]
+    y = [f.sub(x[k], f.mul(x[0], p[k])) for k in (1, 2, 3)]
+    w = [f.sub(q[k], p[k]) for k in (1, 2, 3)]
+    return all(
+        f.mul(y[m], w[n]) == f.mul(y[n], w[m]) for m, n in ((0, 1), (0, 2), (1, 2))
     )
-    if not field.rational:
-        mat = mat.astype(np.int64)
-    return rank(mat, field) <= 2

@@ -12,7 +12,7 @@ it against the full-ring count dim R_t - dim([I]_t + ell^k R_(t-k)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .field import SeedStream
 from .geometry import GridConfig, sample_form
@@ -28,19 +28,15 @@ class LefschetzError(ValueError):
 @dataclass
 class MultMapReport:
     """Rank data for x ell^k : A_(t-k) -> A_t, from its measured cokernel;
-    rank and kernel follow by rank counting."""
+    rank and kernel follow by rank counting, and none may be negative."""
 
     t: int
     dim_from: int
     dim_to: int
     coker_dim: int
 
-    @classmethod
-    def from_coker(cls, t: int, dim_from: int, dim_to: int, coker: int) -> "MultMapReport":
-        """The validated report of a map whose cokernel was measured."""
-        rep = cls(t, dim_from, dim_to, coker)
-        rep.validate()
-        return rep
+    def __post_init__(self):
+        assert min(self.rank, self.kernel_dim, self.coker_dim) >= 0
 
     @property
     def rank(self) -> int:
@@ -54,9 +50,6 @@ class MultMapReport:
     def maximal(self) -> bool:
         # injective, or surjective when dim_from > dim_to
         return self.kernel_dim == max(0, self.dim_from - self.dim_to)
-
-    def validate(self):
-        assert min(self.rank, self.kernel_dim, self.coker_dim) >= 0
 
     def as_dict(self) -> dict:
         return {
@@ -72,30 +65,21 @@ class MultMapReport:
 
 @dataclass
 class WlpReport:
+    """The best report per degree of a WLP sweep; the verdict and the failing
+    degrees are read from them."""
+
     grid: GridConfig
     d: int
     trials: int
     degrees: list
-    verdict: bool
-    failing: list
 
-    def validate(self):
-        for rep in self.degrees:
-            rep.validate()
-        assert self.verdict == (not self.failing)
-        # surjectivity propagates: once coker hits 0 past the generator
-        # degree it must stay 0 (the ideal has no generators above d)
-        first_surj = None
-        for rep in self.degrees:
-            if rep.t >= self.d and rep.coker_dim == 0:
-                first_surj = rep.t
-                break
-        if first_surj is not None:
-            for rep in self.degrees:
-                if rep.t > first_surj:
-                    assert rep.coker_dim == 0, (
-                        f"surjectivity not an up-set: coker {rep.coker_dim} at t={rep.t}"
-                    )
+    @property
+    def failing(self) -> list:
+        return [rep.t for rep in self.degrees if not rep.maximal]
+
+    @property
+    def verdict(self) -> bool:
+        return not self.failing
 
     def to_json(self) -> str:
         p = getattr(self.grid.field, "p", None)
@@ -137,9 +121,7 @@ def _power_map(table, power: PolyVector, t: int) -> MultMapReport:
     else:
         image = _contraction(table, power, t)
         coker = image.shape[0] - rank(image, table.grid.field)
-    return MultMapReport.from_coker(
-        t, table.quotient_dim(t - power.degree), table.quotient_dim(t), coker
-    )
+    return MultMapReport(t, table.quotient_dim(t - power.degree), table.quotient_dim(t), coker)
 
 
 def mult_map_analysis(table: PowersHilbertTable, ell, t: int) -> MultMapReport:
@@ -203,7 +185,7 @@ def best_maps(
         if t < k:
             raise LefschetzError(f"degree t must be >= {k}")
         if onto:
-            rep = MultMapReport.from_coker(t, table.quotient_dim(t - k), table.quotient_dim(t), 0)
+            rep = MultMapReport(t, table.quotient_dim(t - k), table.quotient_dim(t), 0)
         else:
             closed_form = k == 1 and t >= d
             target = ci_power_dim_formula(grid.a, grid.b, t - d + 1, t) if closed_form else None
@@ -218,17 +200,7 @@ def wlp_test(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> WlpRe
     degree. Maximal rank certified by any single trial; failure requires all
     trials to agree."""
     reports = list(best_maps(table, "generic", SeedStream.of(seed).child("form"), trials))
-    failing = [rep.t for rep in reports if not rep.maximal]
-    out = WlpReport(
-        grid=table.grid,
-        d=table.d,
-        trials=trials,
-        degrees=reports,
-        verdict=not failing,
-        failing=failing,
-    )
-    out.validate()
-    return out
+    return WlpReport(grid=table.grid, d=table.d, trials=trials, degrees=reports)
 
 
 def wlp_verdict(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> bool:
@@ -268,7 +240,10 @@ class NonLefschetzReport:
     d: int
     locus: object
     entries: list
-    member_of_locus: bool
+
+    @property
+    def member_of_locus(self) -> bool:
+        return any(not e.achieves_generic for e in self.entries)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -312,10 +287,7 @@ def non_lefschetz_probe(
             best_maps(table, "generic", stream.child("form"), trials, degs),
         )
     ]
-    member = any(not e.achieves_generic for e in entries)
-    return NonLefschetzReport(
-        grid=grid, d=d, locus=locus, entries=entries, member_of_locus=member
-    )
+    return NonLefschetzReport(grid=grid, d=d, locus=locus, entries=entries)
 
 
 def slp_probe(table: PowersHilbertTable, k: int, trials: int = 3, seed=0xC0FFEE):
@@ -338,7 +310,10 @@ class BxSequence:
     b: int
     dmax: int
     bits: list
-    conjectural: list = dc_field(default_factory=list)
+
+    @property
+    def conjectural(self) -> list:
+        return list(range(self.a, self.dmax + 1)) if self.a < self.b else []
 
     def bitstring(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -363,7 +338,4 @@ def bx_sequence(grid: GridConfig, dmax: int, trials: int = 3, seed=0xC0FFEE) -> 
     for d in range(1, dmax + 1):
         verdict = wlp_verdict(PowersHilbertTable(grid, d), trials, stream.child("bx", d))
         bits.append(1 if verdict else 0)
-    conjectural = (
-        [d for d in range(1, dmax + 1) if d >= grid.a] if grid.a < grid.b else []
-    )
-    return BxSequence(a=grid.a, b=grid.b, dmax=dmax, bits=bits, conjectural=conjectural)
+    return BxSequence(a=grid.a, b=grid.b, dmax=dmax, bits=bits)

@@ -167,6 +167,25 @@ def test_generic_draw_on_a_grid_point_is_redrawn(capsys):
     assert "WLP holds" in out
 
 
+def test_chord_draw_on_a_grid_point_is_redrawn(capsys):
+    # over F_7 a first draw of seed 3 on this chord is dual to a grid point
+    code, out, err = run_cli(
+        capsys, "nll", "--a", "3", "--b", "3", "--d", "2", "--locus", "chord:1,1;2,1",
+        "--prime", "7", "--seed", "3",
+    )
+    assert code == 0 and err == ""
+    assert "member of non-Lefschetz locus: no" in out
+
+
+@pytest.mark.parametrize(
+    "spec", ["plane:1", "plane:a,b", "plane:1,2,3", "chord:1,2", "ruling:lambda"]
+)
+def test_malformed_locus_is_named(capsys, spec):
+    code, out, err = run_cli(capsys, "nll", "--a", "3", "--b", "3", "--d", "4", "--locus", spec)
+    assert code == 1
+    assert err == f"error: cannot parse locus {spec!r}\n" and out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

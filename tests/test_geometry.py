@@ -3,6 +3,7 @@ import pytest
 
 from gridwlp import (
     PrimeField,
+    RationalField,
     SeedStream,
     geometry,
     make_grid,
@@ -70,6 +71,19 @@ def test_prime_too_small_for_random_params(monkeypatch):
     assert sorted(grid.v) == [1, 2, 3, 4]
 
 
+def _rank_on_line(x, p, q, field):
+    # x lies on the line through p and q exactly when [x; p; q] has rank <= 2
+    return rank(field.array([[field.normalize(c) for c in x], list(p), list(q)]), field) <= 2
+
+
+def _on_lambda(grid, i, x):
+    return _rank_on_line(x, grid.point(i, 0), grid.point(i, 1), grid.field)
+
+
+def _on_mu(grid, j, x):
+    return _rank_on_line(x, grid.point(0, j), grid.point(1, j), grid.field)
+
+
 def _on_tangent_plane(grid, i, j, point):
     # the tangent plane at point (i, j): u_i v_j x1 - u_i x2 - v_j x3 + x4 = 0
     f = grid.field
@@ -96,8 +110,8 @@ def test_tangent_plane_contains_exactly_its_two_rulings(fp, grid33):
 def test_sample_plane_point_on_plane_off_lines(fp, grid33):
     pt = sample_form(grid33, ("plane", 1, 1), SeedStream(3).child("p"))
     assert _on_tangent_plane(grid33, 1, 1, pt)
-    assert not any(grid33.on_lambda(i, pt) for i in range(3))
-    assert not any(grid33.on_mu(j, pt) for j in range(3))
+    assert not any(_on_lambda(grid33, i, pt) for i in range(3))
+    assert not any(_on_mu(grid33, j, pt) for j in range(3))
 
 
 def test_sample_chord_lies_on_exactly_two_tangent_planes(fp, grid33):
@@ -113,7 +127,7 @@ def test_sample_chord_lies_on_exactly_two_tangent_planes(fp, grid33):
 
 def test_sample_ruling_point_lies_on_a_planes(fp, grid33):
     pt = sample_form(grid33, ("ruling", "lambda", 0), SeedStream(5).child("r"))
-    assert grid33.on_lambda(0, pt)
+    assert _on_lambda(grid33, 0, pt)
     planes = [
         (i, j)
         for i in range(3)
@@ -122,7 +136,7 @@ def test_sample_ruling_point_lies_on_a_planes(fp, grid33):
     ]
     assert planes == [(0, 0), (0, 1), (0, 2)]
     pt = sample_form(grid33, ("ruling", "mu", 2), SeedStream(5).child("r2"))
-    assert grid33.on_mu(2, pt)
+    assert _on_mu(grid33, 2, pt)
     planes = [
         (i, j)
         for i in range(3)
@@ -173,8 +187,31 @@ def _collinear_pairs(grid, p):
         (idx[s], idx[t])
         for s in range(len(pts))
         for t in range(s + 1, len(pts))
-        if geometry._on_line(p, pts[s], pts[t], grid.field)
+        if _rank_on_line(p, pts[s], pts[t], grid.field)
     ]
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(7), PrimeField(2**31 - 1), RationalField()], ids=str
+)
+def test_on_line_matches_rank(field):
+    # every pair of grid points of a 3x4 grid, against random points and
+    # points alpha p + beta q of their line
+    grid = make_grid(3, 4, field, seed=SeedStream(12))
+    stream = SeedStream(13)
+    pts = grid.points()
+    hits = 0
+    for s, p in enumerate(pts):
+        for q in pts[s + 1 :]:
+            xs = [[stream.scalar(field) for _ in range(4)] for _ in range(3)]
+            for _ in range(3):
+                alpha, beta = stream.scalar(field), stream.scalar(field)
+                xs.append([field.add(field.mul(alpha, x), field.mul(beta, y)) for x, y in zip(p, q)])
+            for x in xs:
+                on = geometry._on_line(x, p, q, field)
+                assert on == _rank_on_line(x, p, q, field), (p, q, x)
+                hits += on
+    assert hits >= 3 * 66
 
 
 def test_generic_projection_injective(fp, grid33):

@@ -164,7 +164,6 @@ def test_wlp_3x6_d5_failing_degrees(fp, grid36):
 
 def test_wlp_report_invariants_and_json(fp, grid33):
     rep = wlp_test(PowersHilbertTable(grid33, 3), trials=2, seed=9)
-    rep.validate()
     for r in rep.degrees:
         assert r.rank == r.dim_from - r.kernel_dim == r.dim_to - r.coker_dim
     data = json.loads(rep.to_json())
@@ -258,8 +257,6 @@ def test_slp_2x2_maximal_everywhere(fp):
 def test_slp_exploratory_output_shape(fp, grid33):
     reports = slp_probe(PowersHilbertTable(grid33, 4), 2, trials=2, seed=22)
     assert [r.t for r in reports] == list(range(2, 7))
-    for r in reports:
-        r.validate()
 
 
 def test_bx_sequences(fp, grid33):
@@ -392,6 +389,18 @@ def test_generic_draws_on_a_grid_point_are_redrawn(a, b):
     assert wlp_test(PowersHilbertTable(grid, 1), 3, SeedStream(8)).verdict
 
 
+def test_chord_draw_on_a_grid_point_is_redrawn():
+    # the grid of `nll --a 3 --b 3 --prime 7 --seed 3`: the chord (0,0)-(1,0)
+    # lies on a ruling line, and the first draw of trial 0 lands on a grid point
+    grid = make_grid(3, 3, PrimeField(7), seed=SeedStream(3))
+    p, q = grid.point(0, 0), grid.point(1, 0)
+    first = SeedStream(3).child("locus-form", 0).scalar(grid.field)
+    assert grid.is_grid_point([x + first * y for x, y in zip(p, q)])
+    locus = ("chord", (0, 0), (1, 0))
+    rep = non_lefschetz_probe(PowersHilbertTable(grid, 2), locus, 3, SeedStream(3))
+    assert [e.t for e in rep.entries] == [1, 2]
+
+
 def test_verdict_reads_no_degree_past_the_deciding_one(fp, grid36, monkeypatch):
     # 3x6, d=8: maximal at 8, not at 9, so 9 decides the verdict
     table = PowersHilbertTable(grid36, 8)
@@ -441,7 +450,7 @@ def test_trials_stop_at_the_generic_cokernel(fp, grid36, monkeypatch, d):
 
 def _map(coker):
     # x ell : A_2 -> A_3 with dims 10 -> 12; maximal means coker 2
-    return MultMapReport.from_coker(3, 10, 12, coker)
+    return MultMapReport(3, 10, 12, coker)
 
 
 def _pulled_up_to(items, log):
@@ -481,12 +490,12 @@ def test_best_map_rejects_no_reports():
         best_map(iter(()))
 
 
-def test_report_from_coker_validates():
-    rep = MultMapReport.from_coker(5, 20, 14, 1)
+def test_report_validates_on_construction():
+    rep = MultMapReport(5, 20, 14, 1)
     assert (rep.rank, rep.kernel_dim, rep.coker_dim) == (13, 7, 1)
     assert not rep.maximal
     with pytest.raises(AssertionError):
-        MultMapReport.from_coker(5, 4, 14, 1)  # rank 13 > dim_from
+        MultMapReport(5, 4, 14, 1)  # rank 13 > dim_from
 
 
 @pytest.mark.parametrize(

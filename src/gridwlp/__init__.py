@@ -33,7 +33,6 @@ from .field import (
 from .geometry import GridConfig, make_grid, sample_form
 from .ideals import (
     PowersHilbertTable,
-    ci_power_dim_formula,
     ci_power_piece,
     fat_points_dim,
     fat_points_hf,
@@ -44,8 +43,7 @@ from .ideals import (
     socle_dims,
 )
 from .formulas import (
-    NonSquareParams,
-    SquareGridParams,
+    ci_power_dim_formula,
     compressed_gorenstein_hf,
     coker_formula_geproci,
     ext_binom,

@@ -1,5 +1,7 @@
 """Closed-form predictions: cokernel dimensions, Hilbert-function deltas,
-Weak Lefschetz verdicts, compressed Gorenstein Hilbert functions.
+Weak Lefschetz verdicts, dimensions of powers of a plane complete
+intersection, compressed Gorenstein Hilbert functions. Each is a plain
+function of integers.
 
 Every binomial goes through ext_binom, which clamps to 0 whenever the top
 drops below the bottom; that is the only consistent reading of the sums
@@ -8,7 +10,6 @@ whose tops go negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 
@@ -21,58 +22,15 @@ def ext_binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@dataclass(frozen=True)
-class SquareGridParams:
-    """d = (a-1) q + r with 0 <= r < a-1."""
-
-    a: int
-    d: int
-
-    def __post_init__(self):
-        if self.a < 3:
-            raise ValueError("square-grid analysis assumes a >= 3")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-
-    @property
-    def q(self) -> int:
-        return self.d // (self.a - 1)
-
-    @property
-    def r(self) -> int:
-        return self.d % (self.a - 1)
-
-
-@dataclass(frozen=True)
-class NonSquareParams:
-    """d = (a-1) q' + r' with q' >= 1, 1 <= r' <= a-1, plus the decomposition
-    d = (b-1) q + r with 0 <= r < b-1."""
-
-    a: int
-    b: int
-    d: int
-
-    def __post_init__(self):
-        if not (self.b > self.a >= 2):
-            raise ValueError("nonsquare analysis needs b > a >= 2")
-        if self.d < self.a:
-            raise ValueError("nonsquare analysis needs d >= a")
-
-    @property
-    def qprime(self) -> int:
-        return (self.d - 1) // (self.a - 1)
-
-    @property
-    def rprime(self) -> int:
-        return self.d - (self.a - 1) * self.qprime
-
-    @property
-    def q(self) -> int:
-        return self.d // (self.b - 1)
-
-    @property
-    def r(self) -> int:
-        return self.d % (self.b - 1)
+def ci_power_dim_formula(a: int, b: int, m: int, t: int) -> int:
+    """Dimension of [(f,g)^m]_t for a regular sequence of degrees (a, b) in
+    three variables, from the resolution of the m-th power; a degree-e piece
+    has C(e + 2, 2) monomials, and none for e < 0."""
+    if a < 1 or b < 1 or m < 1:
+        raise ValueError("a, b, m must be >= 1")
+    gens = sum(ext_binom(t - a * (m - i) - b * i + 2, 2) for i in range(m + 1))
+    syz = sum(ext_binom(t - (a + b) - a * (m - 1 - i) - b * i + 2, 2) for i in range(m))
+    return gens - syz
 
 
 def coker_formula_geproci(a: int, b: int, d: int, t: int):
@@ -86,17 +44,19 @@ def coker_formula_geproci(a: int, b: int, d: int, t: int):
     )
 
 
-def square_coker_and_delta(p: SquareGridParams):
-    """(coker, delta-h at the critical degree, delta-h one below for r = 0).
+def square_coker_and_delta(a: int, d: int):
+    """(coker, delta-h at the critical degree, delta-h one below for r = 0),
+    where d = (a-1) q + r with 0 <= r < a-1.
 
     coker is for x ell : A_(d+q-2) -> A_(d+q-1); the critical delta is
     Delta h_A(d+q-1) = (2aqr + aq + r^2 + r - a^2 q) / 2; when r = 0 the
     value of Delta h_A(d+q-2) is q*C(a,2).
     """
-    a, d = p.a, p.d
+    if a < 3:
+        raise ValueError("square-grid analysis assumes a >= 3")
     if d < a - 1:
         raise ValueError("needs d >= a-1 so that q >= 1")
-    q, r = p.q, p.r
+    q, r = divmod(d, a - 1)
     coker = (q + 1) * ext_binom(r + 1, 2)
     num = 2 * a * q * r + a * q + r * r + r - a * a * q
     assert num % 2 == 0
@@ -105,11 +65,16 @@ def square_coker_and_delta(p: SquareGridParams):
     return coker, delta_crit, delta_below
 
 
-def nonsquare_coker(p: NonSquareParams) -> int:
-    """Predicted coker of x ell : A_(d+q'-2) -> A_(d+q'-1) for b > a."""
-    return sum(
-        ext_binom(p.rprime + 1 - (p.b - p.a) * i, 2) for i in range(p.qprime + 1)
-    )
+def nonsquare_coker(a: int, b: int, d: int) -> int:
+    """Predicted coker of x ell : A_(d+q'-2) -> A_(d+q'-1) for b > a, where
+    d = (a-1) q' + r' with q' >= 1 and 1 <= r' <= a-1."""
+    if not b > a >= 2:
+        raise ValueError("nonsquare analysis needs b > a >= 2")
+    if d < a:
+        raise ValueError("nonsquare analysis needs d >= a")
+    qprime = (d - 1) // (a - 1)
+    rprime = d - (a - 1) * qprime
+    return sum(ext_binom(rprime + 1 - (b - a) * i, 2) for i in range(qprime + 1))
 
 
 def wlp_verdict_theorem_a(a: int, d: int) -> bool:

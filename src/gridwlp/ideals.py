@@ -426,28 +426,12 @@ def fat_points_hfs(grid: GridConfig, m: int, top) -> tuple:
 # powers of a plane complete intersection
 
 
-def _dim_s(e: int) -> int:
-    return dim_total(3, e) if e >= 0 else 0
-
-
-def ci_power_dim_formula(a: int, b: int, m: int, t: int) -> int:
-    """Dimension of [(f,g)^m]_t for a regular sequence of degrees (a, b),
-    from the resolution of the m-th power; negative dimensions clamp to 0."""
-    if a < 1 or b < 1 or m < 1:
-        raise ValueError("a, b, m must be >= 1")
-    gens = sum(_dim_s(t - a * (m - i) - b * i) for i in range(m + 1))
-    syz = sum(
-        _dim_s(t - (a + b) - a * (m - 1 - i) - b * i) for i in range(m)
-    )
-    return gens - syz
-
-
 def check_regular_sequence(f: PolyVector, g: PolyVector, field):
     """Koszul dimension check in degrees <= a+b; cheap and sufficient here."""
     a, b = f.degree, g.degree
     for t in range(min(a, b), a + b + 1):
         mat = shifted_products_matrix([f, g], t, field)
-        expected = _dim_s(t - a) + _dim_s(t - b) - _dim_s(t - a - b)
+        expected = dim_total(3, t - a) + dim_total(3, t - b) - dim_total(3, t - a - b)
         if rank(mat, field) != expected:
             raise DegenerateSequenceError(
                 f"(f,g) is not a regular sequence: degree {t} dimension mismatch"

@@ -15,8 +15,9 @@ import json
 from dataclasses import dataclass
 
 from .field import SeedStream
+from .formulas import ci_power_dim_formula
 from .geometry import GridConfig, sample_form
-from .ideals import PowersHilbertTable, _b_coordinates, _contraction, ci_power_dim_formula
+from .ideals import PowersHilbertTable, _b_coordinates, _contraction
 from .linalg import rank
 from .polyspace import PolyVector, linear_power
 

@@ -72,6 +72,16 @@ def _check_cap(ncols: int):
         )
 
 
+def _checked(matrix, reader: str) -> np.ndarray:
+    """`matrix` as an array, after the checks every reader runs first: it is
+    2-D, and its column count is within COLUMN_CAP."""
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise ValueError(f"{reader} expects a 2-D matrix")
+    _check_cap(a.shape[1])
+    return a
+
+
 def _mod(z: np.ndarray, p: int) -> np.ndarray:
     """Reduce a float64 array of integers with |z| < 2^53 - p mod p, in place.
 
@@ -317,10 +327,7 @@ def pivot_columns(matrix, field) -> np.ndarray:
     """The sorted pivot columns of a row echelon form of `matrix`, after the
     column-cap guard. They are the first independent columns from the left,
     so the rank of the first c columns is the number of pivots below c."""
-    a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise ValueError("pivot_columns expects a 2-D matrix")
-    _check_cap(a.shape[1])
+    a = _checked(matrix, "pivot_columns")
     if a.size == 0:
         return np.zeros(0, dtype=np.int64)
     if field.rational:
@@ -330,11 +337,8 @@ def pivot_columns(matrix, field) -> np.ndarray:
 
 def rank(matrix, field) -> int:
     """Row rank over the active field; deterministic."""
-    a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise ValueError("rank expects a 2-D matrix")
     # the columns as given: after a transpose, pivot_columns guards the rows
-    _check_cap(a.shape[1])
+    a = _checked(matrix, "rank")
     m, n = a.shape
     if not field.rational and n > m > _BASE:
         # long side as rows, so that the driver can stop at full column rank
@@ -343,11 +347,11 @@ def rank(matrix, field) -> int:
 
 
 def rref(matrix, field):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    a = np.asarray(matrix)
+    """Reduced row echelon form, after the column-cap guard; returns
+    (nonzero rows, pivot columns)."""
+    a = _checked(matrix, "rref")
     if a.size == 0:
-        return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
-    _check_cap(a.shape[1])
+        return a.reshape(0, a.shape[1]), []
     if field.rational:
         return _echelon_frac(a, reduced=True)
     rows, piv = _echelon_blocks([a], a.shape[1], field.p)
@@ -357,7 +361,7 @@ def rref(matrix, field):
 def kernel_basis(matrix, field) -> np.ndarray:
     """RREF basis of the right kernel (rows are kernel vectors), after the
     column-cap guard: the kernel of a zero matrix is an n x n identity."""
-    a = np.asarray(matrix)
+    a = _checked(matrix, "kernel_basis")
     return block_kernel([a], a.shape[1], field)
 
 

@@ -19,6 +19,7 @@ from math import comb
 
 from .field import PrimeField, RationalField, SeedStream
 from .formulas import (
+    ci_power_dim_formula,
     coker_formula_geproci,
     compressed_gorenstein_hf,
     low_degree_ideal_dim,
@@ -27,7 +28,6 @@ from .formulas import (
 from .geometry import make_grid
 from .ideals import (
     PowersHilbertTable,
-    ci_power_dim_formula,
     ci_power_piece,
     fat_points_dim,
     fat_points_hf,

@@ -1,4 +1,6 @@
+from bisect import bisect_right
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -48,6 +50,26 @@ def test_prime_validation():
         PrimeField(2**31 + 11)
     assert is_prime(2147483647)
     assert not is_prime(1)
+
+
+def _primes_by_trial_division(top):
+    # each n is divided by the primes up to its square root found so far
+    primes = []
+    for n in range(2, top + 1):
+        if all(n % f for f in primes[: bisect_right(primes, isqrt(n))]):
+            primes.append(n)
+    return primes
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(100_001) if is_prime(n)] == _primes_by_trial_division(100_000)
+    assert is_prime(2**31 - 1)
+    # the least strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5
+    assert 2047 == 23 * 89 and 1373653 == 829 * 1657 and 25326001 == 2251 * 11251
+    for n in (2047, 1373653, 25326001):
+        assert not is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(3215031751)
 
 
 def test_same_seed_same_sequence():

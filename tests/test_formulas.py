@@ -3,10 +3,9 @@ from math import comb
 import pytest
 
 from gridwlp import (
-    NonSquareParams,
     PowersHilbertTable,
     SeedStream,
-    SquareGridParams,
+    best_maps,
     ci_power_dim_formula,
     coker_formula_geproci,
     compressed_gorenstein_hf,
@@ -39,30 +38,34 @@ def test_coker_formula_examples():
 
 
 def test_square_coker_and_delta_examples():
-    coker, delta, below = square_coker_and_delta(SquareGridParams(3, 3))
+    coker, delta, below = square_coker_and_delta(3, 3)
     assert (coker, delta, below) == (2, 1, None)
-    coker, delta, below = square_coker_and_delta(SquareGridParams(3, 4))
+    coker, delta, below = square_coker_and_delta(3, 4)
     assert (coker, delta, below) == (0, -6, 6)
-    coker, delta, below = square_coker_and_delta(SquareGridParams(4, 6))
+    coker, delta, below = square_coker_and_delta(4, 6)
     assert (coker, delta, below) == (0, -12, 12)
+    for a, d in ((2, 3), (3, 0), (4, 2)):
+        with pytest.raises(ValueError):
+            square_coker_and_delta(a, d)
 
 
 def test_square_params_decomposition():
-    p = SquareGridParams(5, 11)
-    assert p.q == 2 and p.r == 3 and (5 - 1) * p.q + p.r == 11
+    # d = 11 = (5 - 1) * 2 + 3: q = 2, r = 3
+    q, r = divmod(11, 5 - 1)
+    assert (q, r) == (2, 3)
+    assert square_coker_and_delta(5, 11) == ((q + 1) * ext_binom(r + 1, 2), 16, None)
 
 
 def test_nonsquare_params_and_coker():
-    p = NonSquareParams(3, 6, 5)
-    assert p.qprime == 2 and p.rprime == 1
-    assert p.q == 1 and p.r == 0 and p.q <= p.qprime
-    assert nonsquare_coker(p) == 1
-    p = NonSquareParams(2, 3, 2)
-    assert p.qprime == 1 and p.rprime == 1
-    assert nonsquare_coker(p) == 1
-    # wide gap: only the i=0 term survives
-    p = NonSquareParams(3, 9, 4)
-    assert nonsquare_coker(p) == ext_binom(p.rprime + 1, 2)
+    # (3, 6, 5): d = 5 = (3 - 1) * 2 + 1, so q' = 2 and r' = 1
+    assert nonsquare_coker(3, 6, 5) == 1
+    # (2, 3, 2): q' = 1 and r' = 1
+    assert nonsquare_coker(2, 3, 2) == 1
+    # wide gap: only the i=0 term survives; (3, 9, 4) has r' = 2
+    assert nonsquare_coker(3, 9, 4) == ext_binom(2 + 1, 2)
+    for a, b, d in ((3, 3, 4), (1, 3, 4), (3, 6, 2)):
+        with pytest.raises(ValueError):
+            nonsquare_coker(a, b, d)
 
 
 def test_wlp_verdict_theorem_a():
@@ -91,25 +94,23 @@ def test_compressed_gorenstein_tables():
 def test_square_coker_agrees_with_geproci_formula():
     for a in range(3, 7):
         for d in range(a - 1, 3 * (a - 1) + 1):
-            p = SquareGridParams(a, d)
-            if p.q < 1:
-                continue
-            expected = coker_formula_geproci(a, a, d, p.q - 1)
+            q = d // (a - 1)
+            expected = coker_formula_geproci(a, a, d, q - 1)
             assert expected is not None
-            assert square_coker_and_delta(p)[0] == expected
+            assert square_coker_and_delta(a, d)[0] == expected
 
 
 def test_failure_inequality_for_positive_remainder():
     for a in range(3, 9):
         for d in range(a - 1, 4 * (a - 1) + 1):
-            p = SquareGridParams(a, d)
-            coker, delta, below = square_coker_and_delta(p)
-            if p.r > 0:
+            q, r = divmod(d, a - 1)
+            coker, delta, below = square_coker_and_delta(a, d)
+            if r > 0:
                 assert delta < coker
             else:
                 assert coker == 0
-                assert delta == -p.q * comb(a, 2) < 0
-                assert below == p.q * comb(a, 2)
+                assert delta == -q * comb(a, 2) < 0
+                assert below == q * comb(a, 2)
 
 
 @pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (3, 5), (4, 4)])
@@ -140,3 +141,46 @@ def test_geproci_coker_formula_is_the_ci_power_dimension():
                         assert pred == ci_power_dim_formula(a, b, t + 1, d + t), (a, b, d, t)
                         cases += 1
     assert cases > 300
+
+
+def _measured(field, a, b, d, t):
+    """(best-of-3 generic cokernel of x ell into degree t, the Hilbert
+    table it was read from) for the d-th powers ideal of a seeded a x b
+    grid."""
+    grid = make_grid(a, b, field, seed=SeedStream(28).child(a, b))
+    table = PowersHilbertTable(grid, d)
+    (rep,) = best_maps(table, "generic", SeedStream(29).child(a, b, d), 3, degrees=[t])
+    return rep.coker_dim, table
+
+
+def test_square_theorem_matches_measurement(fp):
+    # the square-grid theorem's cokernel and delta-h at t = d + q - 1, and
+    # delta-h at t - 1 when r = 0, against the engine: evidence for
+    # a = 3..5 and d = a-1..3(a-1), not a proof
+    cases = 0
+    for a in range(3, 6):
+        for d in range(a - 1, 3 * (a - 1) + 1):
+            q, r = divmod(d, a - 1)
+            t = d + q - 1
+            coker, table = _measured(fp, a, a, d, t)
+            delta = table.quotient_dim(t) - table.quotient_dim(t - 1)
+            want_coker, want_delta, want_below = square_coker_and_delta(a, d)
+            assert (coker, delta) == (want_coker, want_delta), (a, d)
+            if r == 0:
+                below = table.quotient_dim(t - 1) - table.quotient_dim(t - 2)
+                assert below == want_below, (a, d)
+            cases += 1
+    assert cases == 21
+
+
+def test_nonsquare_conjecture_matches_measurement(fp):
+    # the conjectured cokernel for b > a at t = d + q' - 1 against the
+    # engine: evidence for a = 2..4, b = a+1..6 and d = a..10, not a proof
+    cases = 0
+    for a in range(2, 5):
+        for b in range(a + 1, 7):
+            for d in range(a, 11):
+                t = d + (d - 1) // (a - 1) - 1
+                assert _measured(fp, a, b, d, t)[0] == nonsquare_coker(a, b, d), (a, b, d)
+                cases += 1
+    assert cases == 74

@@ -556,6 +556,21 @@ def test_dimension_cap_guard(fp, monkeypatch):
     assert kernel_basis(np.zeros((1, 30), dtype=np.int64), fp).shape == (30, 30)
 
 
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()], ids=["fp", "qq"])
+def test_every_reader_checks_its_input_first(field, monkeypatch):
+    # rank, pivot_columns, rref and kernel_basis run one check before any
+    # work: a 2-D matrix, with no more columns than the cap, even with no rows
+    monkeypatch.setattr(linalg, "COLUMN_CAP", 30)
+    for reader in (rank, pivot_columns, rref, kernel_basis):
+        for vector in (np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64)):
+            with pytest.raises(ValueError, match=f"{reader.__name__} expects a 2-D matrix"):
+                reader(vector, field)
+        for shape in ((0, 31), (2, 31)):
+            with pytest.raises(DimensionCapError):
+                reader(field.zeros(shape), field)
+        reader(field.zeros((2, 30)), field)
+
+
 def test_rank_checks_the_cap_on_the_columns_it_is_given(fp, monkeypatch):
     # a wide matrix is transposed before its echelon, whose own guard then
     # reads the rows: rank guards the columns of the matrix as given

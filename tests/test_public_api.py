@@ -21,8 +21,8 @@ ALLOWED = {
     "slp_probe": "pinned by the benchmark tracer (perfbench/tracer.py)",
     "mult_map_analysis": "pinned by the benchmark tracer (perfbench/tracer.py)",
     "power_generators": "pinned by the benchmark tracer (perfbench/tracer.py); test oracle of [I]_t",
-    "square_coker_and_delta": "paper formula, to be confronted with measurement (ROADMAP item 2)",
-    "nonsquare_coker": "paper formula, to be confronted with measurement (ROADMAP item 2)",
+    "square_coker_and_delta": "paper formula, confronted with measurement in tests/test_formulas.py",
+    "nonsquare_coker": "paper formula, confronted with measurement in tests/test_formulas.py",
 }
 
 

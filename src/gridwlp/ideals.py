@@ -47,7 +47,6 @@ from .polyspace import (
     vanishing_rows,
     _falling_table,
     _shift_column_map,
-    _shift_degree,
 )
 
 
@@ -63,7 +62,7 @@ class DegenerateSequenceError(ValueError):
 def _below_mask(grading, degree, e: int) -> np.ndarray:
     """Which monomials of one graded piece have every exponent < e: the
     monomial basis of that piece of R/(x_1^e, ..., x_n^e)."""
-    return np.asarray(graded_basis(grading, degree)).max(axis=1) < e
+    return graded_basis(grading, degree).max(axis=1) < e
 
 
 def _shift_columns(grading, src_deg, t, below=None) -> np.ndarray:
@@ -76,7 +75,7 @@ def _shift_columns(grading, src_deg, t, below=None) -> np.ndarray:
         return colmap
     keep = _below_mask(grading, t, below)
     new_col = np.where(keep, np.cumsum(keep) - 1, -1)
-    return new_col[colmap[_below_mask(grading, _shift_degree(src_deg, t), below)]]
+    return new_col[colmap[_below_mask(grading, t - src_deg, below)]]
 
 
 def shifted_products_matrix(polys, t, field, below=None) -> np.ndarray:
@@ -109,7 +108,7 @@ def shifted_product_blocks(polys, t, field, below=None):
 
     def blocks():
         for f in polys:
-            if _shift_degree(f.degree, t) is None:
+            if f.degree > t:
                 continue
             colmap = _shift_columns(grading, f.degree, t, below)
             rows, cols = np.nonzero(colmap >= 0)
@@ -177,7 +176,7 @@ def _descent_index(d: int, t: int):
     """
     # target[c, i] is the index of c + e_i in B_t, -1 outside B
     target = _shift_columns(TOTAL4, 1, t, d)
-    top = np.array(graded_basis(TOTAL4, t))[_below_mask(TOTAL4, t, d)]
+    top = graded_basis(TOTAL4, t)[_below_mask(TOTAL4, t, d)]
     first = np.argmax(top > 0, axis=1)
     # lead[c, i] = i(c + e_i), and -1 where target is -1: that index reads
     # the appended -1
@@ -413,8 +412,7 @@ def fat_points_hfs(grid: GridConfig, m: int, top) -> tuple:
         raise ValueError("a bigraded sweep runs along the diagonal (t, t)")
     mat = fat_points_matrix(grid, m, top)
     if isinstance(top, tuple):
-        exps = np.array(graded_basis(BIGRADED, top), dtype=np.int64).reshape(-1, 4)
-        mat = mat[:, np.argsort(np.maximum(exps[:, 1], exps[:, 3]), kind="stable")]
+        mat = mat[:, np.argsort(graded_basis(BIGRADED, top)[:, 1::2].max(axis=1), kind="stable")]
         sizes = [(t + 1) ** 2 for t in range(top[0] + 1)]
     else:
         sizes = [dim_total(4, t) for t in range(top + 1)]
@@ -485,8 +483,8 @@ def contraction_matrix(f: PolyVector, s: int) -> np.ndarray:
     if not 0 <= s <= f.degree:
         return field.zeros((basis_size(grading, f.degree - s), basis_size(grading, s)))
     colmap = _shift_column_map(grading, s, f.degree)
-    alpha = np.array(graded_basis(grading, f.degree))[colmap]
-    beta = np.array(graded_basis(grading, s))
+    alpha = graded_basis(grading, f.degree)[colmap]
+    beta = graded_basis(grading, s)
     fall = _falling_table(field, s + 1, f.degree + 1)
     out = np.asarray(f.coeffs)[colmap]
     for i in range(grading.nvars):

@@ -207,13 +207,27 @@ def wlp_test(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> WlpRe
 def wlp_verdict(table: PowersHilbertTable, trials: int = 3, seed=0xC0FFEE) -> bool:
     """wlp_test(table, trials, seed).verdict, read up to the degree that
     decides it: the first non-maximal degree (False), or the first
-    surjective one from d on (True), past which every map is onto."""
-    for rep in best_maps(table, "generic", SeedStream.of(seed).child("form"), trials):
+    surjective one from d on (True), past which every map is onto. A degree
+    t >= d whose closed-form cokernel c_t exceeds the maximal one, max(0,
+    a_t - a_(t-1)), fails for every form (no cokernel is below c_t, see
+    best_maps), so it returns False there before any form is ranked."""
+    grid, d = table.grid, table.d
+    proven = []
+
+    def degrees():
+        for t in table.sweep():
+            delta = table.quotient_dim(t) - table.quotient_dim(t - 1)
+            if t >= d and ci_power_dim_formula(grid.a, grid.b, t - d + 1, t) > max(0, delta):
+                proven.append(t)
+                return
+            yield t
+
+    for rep in best_maps(table, "generic", SeedStream.of(seed).child("form"), trials, degrees()):
         if not rep.maximal:
             return False
-        if rep.t >= table.d and rep.coker_dim == 0:
+        if rep.t >= d and rep.coker_dim == 0:
             return True
-    return True
+    return not proven
 
 
 @dataclass

@@ -58,19 +58,18 @@ def basis_size(grading: Grading, degree) -> int:
 
 
 @lru_cache(maxsize=256)
-def graded_basis(grading: Grading, degree) -> tuple:
-    """Ordered tuple of exponent tuples for one graded piece."""
+def graded_basis(grading: Grading, degree) -> np.ndarray:
+    """The monomials of one graded piece in the fixed order, one exponent
+    row each: a cached read-only (n, nvars) int64 array, with no rows for a
+    negative degree."""
     if grading.kind == "total":
-        t = degree
-        if t < 0:
-            return ()
-        return tuple(_total_exponents(grading.nvars, t))
-    u, v = degree
-    if u < 0 or v < 0:
-        return ()
-    return tuple(
-        (u - i, i, v - j, j) for i in range(u + 1) for j in range(v + 1)
-    )
+        rows = list(_total_exponents(grading.nvars, degree)) if degree >= 0 else []
+    else:
+        u, v = degree
+        rows = [(u - i, i, v - j, j) for i in range(u + 1) for j in range(v + 1)]
+    out = np.array(rows, dtype=np.int64).reshape(len(rows), grading.nvars)
+    out.flags.writeable = False
+    return out
 
 
 def _total_exponents(nvars: int, t: int):
@@ -80,11 +79,6 @@ def _total_exponents(nvars: int, t: int):
     for e in range(t, -1, -1):
         for rest in _total_exponents(nvars - 1, t - e):
             yield (e,) + rest
-
-
-@lru_cache(maxsize=256)
-def basis_index(grading: Grading, degree) -> dict:
-    return {mono: i for i, mono in enumerate(graded_basis(grading, degree))}
 
 
 @dataclass
@@ -110,9 +104,10 @@ def zero_poly(grading: Grading, degree, field) -> PolyVector:
 
 def poly_from_terms(grading: Grading, degree, terms, field) -> PolyVector:
     p = zero_poly(grading, degree, field)
-    idx = basis_index(grading, degree)
+    basis = graded_basis(grading, degree)
     for mono, c in terms.items() if isinstance(terms, dict) else terms:
-        p.coeffs[idx[tuple(mono)]] = field.add(p.coeffs[idx[tuple(mono)]], field.normalize(c))
+        (i,) = np.flatnonzero((basis == mono).all(axis=1))
+        p.coeffs[i] = field.add(p.coeffs[i], field.normalize(c))
     return p
 
 
@@ -125,19 +120,13 @@ def linear_form(coeffs, field, grading: Grading = TOTAL4) -> PolyVector:
     return PolyVector(grading, 1, vec, field)
 
 
-def _shift_degree(src_deg: int, t: int):
-    """Degree of the shift monomials taking degree src_deg to t in a total
-    grading; None when that degree is negative."""
-    return t - src_deg if t >= src_deg else None
-
-
 @lru_cache(maxsize=256)
 def _shift_column_map(grading: Grading, src_deg, t) -> np.ndarray:
     """Column indices of monomial * basis(src_deg) inside basis(t), one row
-    per shift monomial of degree t - src_deg."""
-    shifts = np.array(graded_basis(grading, _shift_degree(src_deg, t)))
-    src_basis = np.array(graded_basis(grading, src_deg))
-    target = np.array(graded_basis(grading, t))
+    per shift monomial of degree t - src_deg, none when that is negative."""
+    shifts = graded_basis(grading, t - src_deg)
+    src_basis = graded_basis(grading, src_deg)
+    target = graded_basis(grading, t)
     # exponent vectors as base-`radix` integers: no exponent of a product
     # reaches radix, so the key of a product is the sum of the keys
     radix = int(target.max()) + 1
@@ -185,7 +174,7 @@ def linear_power(coeffs, d: int, field, grading: Grading = TOTAL4) -> PolyVector
     if not vals.any():
         raise ValueError("zero linear form")
     n = len(vals)
-    exps = np.array(graded_basis(grading, d))
+    exps = graded_basis(grading, d)
     binom = field.array([[field.normalize(comb(r, e)) for e in range(d + 1)] for r in range(d + 1)])
     # powers[i, e] = c_i^e
     powers = field.zeros((n, d + 1))
@@ -206,13 +195,11 @@ def _falling_table(field, nrows: int, ncols: int) -> np.ndarray:
     return field.array([[field.normalize(perm(e, b)) for e in range(ncols)] for b in range(nrows)])
 
 
-def condition_multiindices(nvars_active: int, m: int) -> tuple:
-    """Multi-indices of order < m over the active (chart) coordinates,
-    ordered by total order then graded lex."""
-    out = []
-    for order in range(m):
-        out.extend(_total_exponents(nvars_active, order))
-    return tuple(out)
+def condition_multiindices(nvars_active: int, m: int) -> np.ndarray:
+    """Multi-indices of order < m >= 1 over the active (chart) coordinates,
+    one row each, ordered by total order then graded lex."""
+    grading = Grading("total", nvars_active)
+    return np.concatenate([graded_basis(grading, order) for order in range(m)])
 
 
 @lru_cache(maxsize=256)
@@ -225,7 +212,7 @@ def _chart_partials(grading: Grading, degree, m: int, field):
     table with m rows.
     """
     nv = grading.nvars
-    exps = np.array(graded_basis(grading, degree), dtype=np.int64).reshape(-1, nv)
+    exps = graded_basis(grading, degree)
     if grading.kind == "total":
         orders = condition_multiindices(nv - 1, m)
         betas = np.zeros((len(orders), nv), dtype=np.int64)

@@ -43,7 +43,6 @@ from gridwlp.polyspace import (
     TOTAL3,
     TOTAL4,
     GradingMismatchError,
-    basis_index,
     dim_total,
     graded_basis,
     linear_power,
@@ -51,6 +50,11 @@ from gridwlp.polyspace import (
     poly_mul,
     zero_poly,
 )
+
+
+def _index(grading, degree):
+    # monomial -> position in the basis
+    return {tuple(mono): i for i, mono in enumerate(graded_basis(grading, degree).tolist())}
 
 
 def _random_form(deg, field, stream, grading=TOTAL3):
@@ -354,13 +358,12 @@ def test_fat_points_cap_guard_before_assembly(fp, grid33, monkeypatch):
     ],
 )
 def test_shift_column_map_matches_dict_build(grading, src_deg, t):
-    # one basis_index lookup per (shift, monomial), as the map was first built
-    shift_deg = ideals._shift_degree(src_deg, t)
-    idx_t = basis_index(grading, t)
+    # one index lookup per (shift, monomial), as the map was first built
+    idx_t = _index(grading, t)
     expect = np.array(
         [
-            [idx_t[tuple(a + g for a, g in zip(alpha, gamma))] for alpha in graded_basis(grading, src_deg)]
-            for gamma in graded_basis(grading, shift_deg)
+            [idx_t[tuple(a + g for a, g in zip(alpha, gamma))] for alpha in graded_basis(grading, src_deg).tolist()]
+            for gamma in graded_basis(grading, t - src_deg).tolist()
         ],
         dtype=np.int64,
     )
@@ -540,8 +543,8 @@ def test_socle_examples(fp, grid33):
 
 def _shift_matrix(t, var, field):
     # multiplication by x_var from R_t to R_(t+1) on monomial bases
-    src = graded_basis(TOTAL4, t)
-    idx = basis_index(TOTAL4, t + 1)
+    src = graded_basis(TOTAL4, t).tolist()
+    idx = _index(TOTAL4, t + 1)
     mat = field.zeros((dim_total(4, t + 1), len(src)))
     for c, mono in enumerate(src):
         target = list(mono)
@@ -675,3 +678,45 @@ def test_hilbert_table_serialization(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["kind"] == "quotient"
     assert data["rows"][0] == {"t": 0, "dim": 1, "delta": 1}
+
+
+def _tau(a, b, t, m):
+    # dim[(F, G)^m]_(t,t) on P^1 x P^1 for F, G of bidegrees (a, 0), (0, b):
+    # sum_k c_k v_(m-k), with u_i = max(0, t - ai + 1), v_j = max(0, t - bj + 1),
+    # c_k = u_k - u_(k+1) for k < m and c_m = u_m
+    u = [max(0, t - a * i + 1) for i in range(m + 2)]
+    v = [max(0, t - b * j + 1) for j in range(m + 1)]
+    c = [u[k] - u[k + 1] for k in range(m)] + [u[m]]
+    return sum(c[k] * v[m - k] for k in range(m + 1))
+
+
+RESIDUAL_GRIDS = [(2, 3), (3, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("a, b", RESIDUAL_GRIDS)
+def test_tau_is_the_bigraded_fat_point_dimension(fp, a, b):
+    grid = make_grid(a, b, fp, seed=SeedStream(66 + a + b))
+    top = 7
+    for m in (1, 2, 3):
+        hfs = fat_points_hfs(grid, m, (top, top))
+        assert [(t + 1) ** 2 - h for t, h in enumerate(hfs)] == [_tau(a, b, t, m) for t in range(top + 1)]
+
+
+@pytest.mark.parametrize("a, b", RESIDUAL_GRIDS + [(4, 4)])
+def test_quadric_residual_bounds_on_hilbert_tables(fp, a, b):
+    # 0 -> [I_X^(m-1)]_(t-2) -> [I_X^(m)]_t -> [I_Z^(m)]_(t,t), m = t - d + 1,
+    # read through a_t(d) = dim[I_X^(m)]_t: a_(t-2)(d-1) <= a_t(d) <=
+    # a_(t-2)(d-1) + tau(t, m), with equality where tau = 0; past the last
+    # degree of the table at d both sides are 0 until tau is
+    grid = make_grid(a, b, fp, seed=SeedStream(66 + a + b))
+    cells = equal = 0
+    for d in range(2, 8):
+        low, high = PowersHilbertTable(grid, d - 1), PowersHilbertTable(grid, d)
+        for t in range(d, 6 * d + 2):
+            below, at, tau = low.quotient_dim(t - 2), high.quotient_dim(t), _tau(a, b, t, t - d + 1)
+            assert below <= at <= below + tau, (d, t)
+            if tau == 0:
+                assert at == below, (d, t)
+                equal += 1
+            cells += 1
+    assert equal > 0 and cells > equal

@@ -519,3 +519,47 @@ def test_zero_trials_rejected_everywhere(fp, grid33):
     ):
         with pytest.raises(LefschetzError, match="trials must be >= 1"):
             call()
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 7])
+def test_verdict_proven_without_a_rank_matches_wlp_test(p):
+    # wlp_verdict returns False at the first t >= d with c_t > max(0, a_t -
+    # a_(t-1)), before ranking; wlp_test ranks every degree it reaches
+    field = PrimeField(p)
+    for a, b in SHAPES:
+        grid = make_grid(a, b, field, seed=SeedStream(64 + 7 * a + b))
+        for d in range(1, 8):
+            seed = SeedStream(65).child(a, b, d)
+            verdict = wlp_verdict(PowersHilbertTable(grid, d), 3, seed)
+            assert verdict == wlp_test(PowersHilbertTable(grid, d), 3, seed).verdict, (a, b, d)
+
+
+def _proven_failing(table):
+    # the first t >= d whose closed-form cokernel exceeds the maximal one
+    for t in table.sweep():
+        if t < table.d:
+            continue
+        delta = table.quotient_dim(t) - table.quotient_dim(t - 1)
+        if ci_power_dim_formula(table.grid.a, table.grid.b, t - table.d + 1, t) > max(0, delta):
+            return t
+    return None
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_proven_failing_degree_ranks_no_map(fp, grid36, monkeypatch, d):
+    # 3x6: the verdict is False and is decided at a degree the rule proves
+    # failing, where no map is ranked; wlp_test measures it as failing
+    t_fail = _proven_failing(PowersHilbertTable(grid36, d))
+    assert t_fail is not None
+    ranked = []
+
+    def counted(table, power, t):
+        ranked.append(t)
+        return _power_map(table, power, t)
+
+    monkeypatch.setattr(lefschetz, "_power_map", counted)
+    assert wlp_verdict(PowersHilbertTable(grid36, d), 3, 7) is False
+    assert ranked and max(ranked) < t_fail
+    report = wlp_test(PowersHilbertTable(grid36, d), 3, 7)
+    assert report.failing[0] == t_fail
+    assert t_fail in ranked

@@ -22,7 +22,6 @@ from gridwlp import polyspace
 from gridwlp.linalg import _matmul, rank
 from gridwlp.polyspace import (
     GradingMismatchError,
-    basis_index,
     basis_size,
     condition_multiindices,
     poly_from_terms,
@@ -32,13 +31,19 @@ from gridwlp.polyspace import (
 from gridwlp.ideals import contraction_matrix
 
 
+def _index(grading, degree):
+    # monomial -> position in the basis
+    return {tuple(mono): i for i, mono in enumerate(graded_basis(grading, degree).tolist())}
+
+
 def _coeff(poly, mono):
-    return poly.coeffs[basis_index(poly.grading, poly.degree)[mono]]
+    return poly.coeffs[_index(poly.grading, poly.degree)[mono]]
 
 
 def _terms(poly):
     # (monomial, coefficient) for every nonzero coefficient, in basis order
-    return [(m, c) for m, c in zip(graded_basis(poly.grading, poly.degree), poly.coeffs) if c != 0]
+    basis = graded_basis(poly.grading, poly.degree).tolist()
+    return [(tuple(m), c) for m, c in zip(basis, poly.coeffs) if c != 0]
 
 
 def test_basis_sizes():
@@ -50,10 +55,30 @@ def test_basis_sizes():
 
 def test_basis_order_deterministic_and_graded_lex():
     basis = graded_basis(TOTAL4, 2)
-    assert basis[0] == (2, 0, 0, 0)
-    assert basis[1] == (1, 1, 0, 0)
-    assert basis[-1] == (0, 0, 0, 2)
-    assert basis == graded_basis(TOTAL4, 2)
+    assert basis[0].tolist() == [2, 0, 0, 0]
+    assert basis[1].tolist() == [1, 1, 0, 0]
+    assert basis[-1].tolist() == [0, 0, 0, 2]
+    assert np.array_equal(basis, graded_basis(TOTAL4, 2))
+
+
+@pytest.mark.parametrize(
+    "grading, degree, shape",
+    [(TOTAL4, 3, (20, 4)), (TOTAL3, 0, (1, 3)), (BIGRADED, (2, 1), (6, 4)),
+     (TOTAL4, -1, (0, 4)), (BIGRADED, (1, -1), (0, 4))],
+)
+def test_graded_basis_is_one_cached_read_only_array(grading, degree, shape):
+    basis = graded_basis(grading, degree)
+    assert basis.shape == shape and basis.dtype == np.int64
+    assert graded_basis(grading, degree) is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[..., 0] = 1
+    # the exponents of every row sum to the degree, in each grading's sense
+    if grading.kind == "total":
+        assert (basis.sum(axis=1) == degree).all()
+    else:
+        assert (basis[:, :2].sum(axis=1) == degree[0]).all()
+        assert (basis[:, 2:].sum(axis=1) == degree[1]).all()
 
 
 def test_poly_mul_square_of_linear(fp):
@@ -126,7 +151,7 @@ def _multinomial_expansion(coeffs, d, field, grading):
     # monomial at a time
     vals = [field.normalize(c) for c in coeffs]
     out = zero_poly(grading, d, field)
-    for j, mono in enumerate(graded_basis(grading, d)):
+    for j, mono in enumerate(graded_basis(grading, d).tolist()):
         multinomial = factorial(d)
         for e in mono:
             multinomial //= factorial(e)
@@ -171,9 +196,9 @@ def _loop_contraction_matrix(f, s):
     # one (alpha', beta) entry at a time: F_(alpha' + beta) times
     # prod_i falling(alpha'_i + beta_i, beta_i), as the matrix was first built
     field = f.field
-    src = graded_basis(f.grading, s)
-    dst = graded_basis(f.grading, f.degree - s)
-    f_idx = basis_index(f.grading, f.degree)
+    src = graded_basis(f.grading, s).tolist()
+    dst = graded_basis(f.grading, f.degree - s).tolist()
+    f_idx = _index(f.grading, f.degree)
     mat = field.zeros((len(dst), len(src)))
     for c, beta in enumerate(src):
         for r, alpha_p in enumerate(dst):
@@ -311,13 +336,13 @@ def _fall_pow_column(value, exps, b, field):
 def _pointwise_rows(grading, degree, point, m, field):
     # one point and one partial at a time, one coordinate after another, as
     # the rows were first built
-    exps = np.array(graded_basis(grading, degree), dtype=np.int64).reshape(-1, grading.nvars)
+    exps = graded_basis(grading, degree)
     if grading.kind == "total":
         pt = [field.normalize(c) for c in point]
         piv = next(i for i, c in enumerate(pt) if c != 0)
         active = [i for i in range(grading.nvars) if i != piv]
         betas = []
-        for beta in condition_multiindices(grading.nvars - 1, m):
+        for beta in condition_multiindices(grading.nvars - 1, m).tolist():
             full = [0] * grading.nvars
             for k, i in enumerate(active):
                 full[i] = beta[k]
@@ -379,7 +404,7 @@ def _slow_poly_mul(f, g):
     field = f.field
     deg = f.degree + g.degree
     out = zero_poly(f.grading, deg, field)
-    idx = basis_index(f.grading, deg)
+    idx = _index(f.grading, deg)
     for mono_f, cf in _terms(f):
         for mono_g, cg in _terms(g):
             j = idx[tuple(a + b for a, b in zip(mono_f, mono_g))]

@@ -1,38 +1,35 @@
 """Dense exact linear algebra: rank, kernels, row-reduced spans.
 
-Over F_p one kernel, ``_echelon``, computes the reduced row echelon form of
-every matrix. Residues are stored as float64 so that BLAS does the products.
-The kernel splits the rows in halves and echelonises the top half. Then it
-reduces the bottom half against the top with one modular matmul, on the
-non-pivot columns only, drops the rows that became zero, recurses on the
-rest, and merges the two bases. Blocks of at most ``_BASE`` rows or columns
-run a pivot loop in int64 instead. Each row reaches that loop only after it
-has been reduced against every pivot found before it, so the loop runs
-about once per unit of rank. The products split each factor into 16-bit
-limbs, so every partial sum is an integer below 2^53 and exact (see
-``_matmul_modp``).
+Over F_p an echelon form is held as (piv, R): the sorted pivot columns and
+R, the block of the reduced row echelon form (RREF) on the free columns.
+Its pivot block is the identity and is never stored, so at rank r with n
+columns R has r(n - r) <= n^2 / 4 entries, as in tiled F_p elimination
+(Dumas, Giorgi and Pernet, ACM TOMS 2008; Jeannerod, Pernet and Storjohann,
+J. Symbolic Comput. 2013). Residues are float64 so that BLAS does the
+products, which split each factor into 16-bit limbs: every partial sum is
+an integer below 2^53 and exact (see ``_matmul_modp``).
 
-Every F_p elimination reaches the kernel through one driver,
-``_echelon_blocks``, which takes an iterable of integer row blocks and the
-column count n: a tiled elimination in the manner of FFLAS-FFPACK (Dumas,
-Giorgi and Pernet, ACM TOMS 2008). It is one loop over pieces: each piece is
-the residues of as many rows of the current block as a panel of
-max(n, 2 * ``_BASE``) rows has room for, and then the loop moves on to the
-rest of the block or pulls the next one. When the panel is full, or no
-block is left, its pieces are stacked (one piece is the panel as it is),
-reduced against the running RREF with one modular product, and the rest
-of it is echelonised and merged in. Nothing is preallocated, so a panel
-holds only the rows that arrived. No block is pulled once the rank is n.
-``rank``, ``rref`` and ``pivot_columns`` hand it a matrix as one block, and
+``_merge`` adds rows to a form: it reduces them on the free columns with
+one product, rows[:, piv] @ R, echelonises those that stay nonzero,
+back-reduces R on the columns that stay free and writes both, in pivot
+order, into one new block. ``_echelon`` merges the bottom half of a matrix
+into the form of its top half; blocks of at most ``_BASE`` rows or columns
+run a pivot loop in int64 instead. Each row reaches that loop only after
+it has been reduced against every pivot found before it, so the loop runs
+about once per unit of rank.
+
+Every F_p elimination goes through one driver, ``_echelon_blocks``, which
+merges the residues of an iterable of integer row blocks in panels of
+2 * ``_BASE`` = 96 rows and pulls no block once the rank is n. ``rank``,
+``rref`` and ``pivot_columns`` hand it a matrix as one block, and
 ``kernel_basis`` is ``block_kernel`` of one block. The Hilbert table hands
 ``block_kernel`` its primal systems one generator block at a time and its
 descent systems in row panels, so no whole system is built. Besides its
-blocks, an elimination of m rows so holds O(min(m, max(n, 96)) * n)
-floats: the panel, the running RREF and the copies of a merge, whose
-modular products take the rows of their left factor in chunks of
-``_CHUNK``. That is at most a function of n alone. The RREF and its pivots
-are unique, so every output is byte-identical to the echelon of the whole
-matrix.
+blocks, an elimination so holds O(96 * n + r(n - r)) floats. ``rank`` and
+``pivot_columns`` read the pivots, ``block_kernel`` reads R (the kernel is
+[-R^T | I] on the columns (piv, free)), and only ``rref`` builds full rows.
+The RREF and its pivots are unique, so every output is byte-identical to
+the echelon of the whole matrix.
 
 Over the rationals, a fraction-free elimination on primitive integer rows
 handles the small cross-check instances and is the oracle for the F_p
@@ -165,12 +162,12 @@ def _complement(n: int, cols) -> np.ndarray:
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool = True):
-    """Row echelon basis of the row space of a float64 residue matrix.
+    """Echelon form of the row space of a float64 residue matrix, as (piv, R).
 
-    Returns (rows, pivots): float64 rows with leading ones in the sorted
-    pivot columns (an int64 array). The rows are the unique RREF when
-    `reduced`; otherwise, which is enough for the rank, the pivot loop only
-    clears below its pivots. `a` is not modified.
+    `piv` holds the sorted pivot columns (an int64 array). With `reduced`, R
+    is the float64 block of the unique RREF on the other columns; otherwise
+    R is None, since only the pivots are unique, and the pivot loop clears
+    only below its pivots. `a` is not modified.
     """
     m, n = a.shape
     if min(m, n) <= _BASE:
@@ -199,61 +196,64 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = True):
             rr += 1
             if rr == m:
                 break
-        return b[:rr].astype(np.float64), np.array(piv, dtype=np.int64)
+        piv = np.array(piv, dtype=np.int64)
+        return piv, b[:rr, _complement(n, piv)].astype(np.float64) if reduced else None
     h = m // 2
-    top, tp = _echelon(a[:h], p)
-    return _extend(top, tp, a[h:], p, reduced)
+    return _merge(*_echelon(a[:h], p), a[h:], p, reduced)
 
 
-def _extend(top, tp, new, p: int, reduced: bool):
-    """Echelon basis of the row space of an RREF (top, tp) and the float64
-    residue rows `new`, as `_echelon` returns it.
-
-    `new` is reduced against `top` with one modular product on the non-pivot
-    columns, the rows that stay nonzero go through `_echelon`, and with
-    `reduced` the rows of `top` are reduced against theirs in place. Each
-    row is then written straight to its sorted place. `new` is not modified.
-    """
-    n = new.shape[1]
-    free = _complement(n, tp)
+def _merge(piv, R, new, p: int, reduced: bool):
+    """The form (piv, R) of the row space of a reduced form (piv, R) and
+    the float64 residue rows `new`, as `_echelon` returns it; neither input
+    is modified. With `reduced`, R is back-reduced `_CHUNK` rows at a time,
+    each row written straight to its place in the new block."""
+    free = _complement(new.shape[1], piv)
     rest = new[:, free]
-    if tp.size:
-        # top[:, tp] is the identity, so this clears new[:, tp]
-        _matmul_modp(new[:, tp], top[:, free], p, acc=rest)
+    if piv.size:
+        # the pivot block is the identity, so this clears new[:, piv]
+        _matmul_modp(new[:, piv], R, p, acc=rest)
     rest = rest[rest.any(axis=1)]
     if rest.shape[0] == 0:
-        return top, tp
-    bot, bp = _echelon(rest, p, reduced)
-    del rest  # not needed by the merge, which is the peak of a reduced echelon
-    bp = free[bp]
-    if reduced:
-        top[:, free] = _matmul_modp(top[:, bp], bot, p, acc=top[:, free])
-    # tp and bp are sorted and disjoint: a row's place is its index plus the
+        return piv, R if reduced else None
+    bl, bot = _echelon(rest, p, reduced)
+    bp = free[bl]
+    merged = np.sort(np.concatenate([piv, bp]))
+    if not reduced:
+        return merged, None
+    stay = _complement(free.size, bl)
+    out = np.empty((merged.size, stay.size))
+    # piv and bp are sorted and disjoint: a row's place is its index plus the
     # number of pivots of the other side to its left
-    rows = np.zeros((tp.size + bp.size, n))
-    rows[np.arange(tp.size) + np.searchsorted(bp, tp)] = top
-    rows[(np.arange(bp.size) + np.searchsorted(tp, bp))[:, None], free] = bot
-    return rows, np.sort(np.concatenate([tp, bp]))
+    out[np.arange(bp.size) + np.searchsorted(piv, bp)] = bot
+    places = np.arange(piv.size) + np.searchsorted(bp, piv)
+    for start in range(0, piv.size, _CHUNK):
+        rows = R[start : start + _CHUNK]
+        top = rows[:, stay]
+        _matmul_modp(rows[:, bl], bot, p, acc=top)
+        out[places[start : start + _CHUNK]] = top
+    return merged, out
 
 
 def _echelon_blocks(blocks, n: int, p: int, reduced: bool = True):
     """`_echelon` of the residues of the rows of integer row blocks with n
-    columns, fed in row panels; the whole matrix is never built.
+    columns, merged in panels of 2 * _BASE rows; the whole matrix is never
+    built. Besides its blocks this holds O(96 * n + r(n - r)) floats at
+    rank r: the panel, the form and, in a merge, the new form and the limbs
+    of R.
 
     Each step takes the residues of as many rows of the current block as
-    the panel of max(n, 2 * _BASE) rows has room for, as one piece, and
-    moves on to the rest of the block or pulls the next one. A full panel,
-    or the last, is its pieces stacked (a single piece is not copied), and
-    it is merged into the running RREF by `_extend`. No block is pulled
-    once the rank is n. Every panel but the last is merged reduced, so that
-    the next one can be reduced against it; when a panel ends on the end of
-    a block, the next block is pulled to know whether the panel is the
-    last, and its residues are taken only when it is reached. The RREF,
-    and the pivots of any row echelon form, are unique, so they are those
-    of `_echelon` on the residues of the stacked blocks.
+    the panel has room for, as one piece, and moves on to the rest of the
+    block or pulls the next one. A full panel, or the last, is its pieces
+    stacked (a single piece is not copied). No block is pulled once the
+    rank is n. Every panel but the last is merged reduced, so that the next
+    one can be reduced against it; when a panel ends on the end of a block,
+    the next block is pulled to know whether the panel is the last, and its
+    residues are taken only when it is reached. The RREF, and the pivots of
+    any row echelon form, are unique, so they are those of `_echelon` on
+    the residues of the stacked blocks.
     """
-    step = max(n, 2 * _BASE)
-    rows, piv = np.zeros((0, n)), np.zeros(0, dtype=np.int64)
+    step = 2 * _BASE
+    piv, R = np.zeros(0, dtype=np.int64), np.zeros((0, n))
     blocks = iter(blocks)
     block, pieces, fill = next(blocks, None), [], 0
     while block is not None and piv.size < n:
@@ -265,12 +265,8 @@ def _echelon_blocks(blocks, n: int, p: int, reduced: bool = True):
             panel = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             pieces, fill = [], 0
             # only the last panel may be merged unreduced
-            red = reduced or block is not None
-            if piv.size == 0:
-                rows, piv = _echelon(panel, p, red)
-            else:
-                rows, piv = _extend(rows, piv, panel, p, red)
-    return rows, piv
+            piv, R = _merge(piv, R, panel, p, reduced or block is not None)
+    return piv, R
 
 
 def _echelon_frac(a: np.ndarray, reduced: bool):
@@ -332,7 +328,7 @@ def pivot_columns(matrix, field) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if field.rational:
         return np.array(_echelon_frac(a, reduced=False)[1], dtype=np.int64)
-    return _echelon_blocks([a], a.shape[1], field.p, reduced=False)[1]
+    return _echelon_blocks([a], a.shape[1], field.p, reduced=False)[0]
 
 
 def rank(matrix, field) -> int:
@@ -354,8 +350,12 @@ def rref(matrix, field):
         return a.reshape(0, a.shape[1]), []
     if field.rational:
         return _echelon_frac(a, reduced=True)
-    rows, piv = _echelon_blocks([a], a.shape[1], field.p)
-    return rows.astype(np.int64), piv.tolist()
+    n = a.shape[1]
+    piv, R = _echelon_blocks([a], n, field.p)
+    rows = np.zeros((piv.size, n), dtype=np.int64)
+    rows[np.arange(piv.size), piv] = 1
+    rows[:, _complement(n, piv)] = R
+    return rows, piv.tolist()
 
 
 def kernel_basis(matrix, field) -> np.ndarray:
@@ -375,16 +375,15 @@ def block_kernel(blocks, n: int, field) -> np.ndarray:
         blocks = list(blocks)
         a = np.concatenate(blocks) if blocks else field.zeros((0, n))
         rows, piv = rref(a, field)
+        R = rows[:, _complement(n, piv)]
     else:
-        rows, piv = _echelon_blocks(blocks, n, field.p)
+        piv, R = _echelon_blocks(blocks, n, field.p)
+        R = R.astype(np.int64)
+    # on the columns (piv, free) the RREF is [I | R] and the kernel [-R^T | I]
     free = _complement(n, piv)
     out = field.zeros((free.size, n))
     out[np.arange(free.size), free] = field.one
-    rest = rows[:, free]
-    if not field.rational:
-        # the float RREF holds residues: only these columns become int64
-        rest = rest.astype(np.int64)
-    out[:, piv] = field.neg(rest).T
+    out[:, piv] = field.neg(R).T
     return out
 
 

@@ -103,10 +103,19 @@ def zero_poly(grading: Grading, degree, field) -> PolyVector:
 
 
 def poly_from_terms(grading: Grading, degree, terms, field) -> PolyVector:
-    p = zero_poly(grading, degree, field)
+    """The polynomial with these (monomial, coefficient) terms. A monomial
+    that is not in the basis of `degree` is a ValueError that names it,
+    raised before any coefficient is written."""
     basis = graded_basis(grading, degree)
-    for mono, c in terms.items() if isinstance(terms, dict) else terms:
-        (i,) = np.flatnonzero((basis == mono).all(axis=1))
+    terms = list(terms.items() if isinstance(terms, dict) else terms)
+    rows = []
+    for mono, _ in terms:
+        hit = np.flatnonzero((basis == mono).all(axis=1)) if len(mono) == grading.nvars else []
+        if len(hit) != 1:
+            raise ValueError(f"{tuple(mono)} is not a monomial of degree {degree}")
+        rows.append(int(hit[0]))
+    p = zero_poly(grading, degree, field)
+    for i, (_, c) in zip(rows, terms):
         p.coeffs[i] = field.add(p.coeffs[i], field.normalize(c))
     return p
 

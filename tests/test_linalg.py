@@ -20,6 +20,7 @@ from gridwlp import (
     rank,
 )
 from gridwlp.linalg import (
+    _complement,
     _echelon,
     _echelon_blocks,
     _echelon_frac,
@@ -153,8 +154,16 @@ def test_blocked_engine_matches_reference():
             assert rows.dtype == np.int64 and np.array_equal(rows, expect_rows)
 
 
+def _full_rows(piv, R, n):
+    """The int64 RREF rows of an echelon form (piv, R) with n columns."""
+    rows = np.zeros((piv.size, n), dtype=np.int64)
+    rows[np.arange(piv.size), piv] = 1
+    rows[:, _complement(n, piv)] = R
+    return rows
+
+
 def _panel_cases(rng, p):
-    """Tall matrices that the row panels (max(n, 96) rows each) split:
+    """Tall matrices that the row panels (96 rows each) split:
     several panels of deficient rank, a second panel that reduces to zero,
     full column rank in the first panel, and zero rows, whole panels of
     them included."""
@@ -177,24 +186,24 @@ def test_row_panels_match_one_whole_matrix_echelon(p):
     field = PrimeField(p)
     for mat in _panel_cases(_rng(17), p):
         whole = _residues(mat, p)
-        rows, piv = _echelon(whole, p, True)
+        piv, R = _echelon(whole, p, True)
         got_rows, got_piv = rref(mat, field)
-        assert got_rows.tobytes() == rows.astype(np.int64).tobytes()
+        assert got_rows.tobytes() == _full_rows(piv, R, mat.shape[1]).tobytes()
         assert got_piv == piv.tolist()
-        unreduced = _echelon(whole, p, False)[1]
+        unreduced = _echelon(whole, p, False)[0]
         assert pivot_columns(mat, field).tobytes() == unreduced.tobytes()
         assert rank(mat, field) == unreduced.size
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_rank_of_a_wide_matrix_matches_its_transposed_echelon(p):
-    # 600 x 150 after the transpose: four panels of 150 rows
+    # 600 x 150 after the transpose: panels of 96 rows, the last of 24
     field = PrimeField(p)
     rng = _rng(18)
     for r in (0, 1, 120, 150):
         mat = _low_rank(rng, 150, 600, r, p)
-        transposed = _echelon(_residues(mat.T, p), p, False)[1].size
-        assert rank(mat, field) == transposed == _echelon(_residues(mat, p), p, False)[1].size
+        transposed = _echelon(_residues(mat.T, p), p, False)[0].size
+        assert rank(mat, field) == transposed == _echelon(_residues(mat, p), p, False)[0].size
 
 
 def test_row_panels_stop_at_full_column_rank(fp, monkeypatch):
@@ -222,10 +231,14 @@ def _split(mat, sizes):
 
 
 def _block_cases(rng, p):
-    """(matrix, block sizes): blocks that straddle the panels of max(n, 96)
-    rows, zero-row blocks among them, blocks longer than a panel, a first
-    block shorter than a panel, so that a panel is stacked from pieces, and
-    narrow matrices (n <= 48)."""
+    """(matrix, block sizes): blocks that straddle the panels of 96 rows,
+    zero-row blocks among them, blocks longer than a panel, a first block
+    shorter than a panel, so that a panel is stacked from pieces, and
+    narrow matrices (n <= 48). Then the shape of the t = 14 primal system
+    of a 5 x 5 grid at d = 10 in its 35-row generator blocks; full column
+    rank reached over two panels (n = 97) and three (n = 200); a panel that
+    reduces to zero between two that do not; and a last panel, merged
+    unreduced, that still adds pivots after reduced ones."""
     yield _low_rank(rng, 400, 150, 120, p), [35] * 11
     yield _low_rank(rng, 735, 120, 100, p), [0, 35, 0, 0, 200, 1, 96, 0]
     yield rng.integers(0, p, (300, 70)), [95, 2, 0, 96, 50]
@@ -233,6 +246,13 @@ def _block_cases(rng, p):
     yield _low_rank(rng, 260, 4, 3, p), [96, 0, 96]
     yield np.zeros((200, 60), dtype=np.int64), [50, 50, 50]
     yield _low_rank(rng, 90, 200, 60, p), [30, 30]
+    yield _low_rank(rng, 735, 540, 455, p), [35] * 20
+    yield rng.integers(0, p, (150, 97)), [35] * 4
+    yield rng.integers(0, p, (300, 200)), [60] * 4
+    head = _low_rank(rng, 96, 80, 50, p)
+    echo = _matmul_modp(rng.integers(0, p, (96, 96)), head, p).astype(np.int64)
+    yield np.vstack([head, echo, _low_rank(rng, 96, 80, 70, p)]), [50, 70, 76]
+    yield np.vstack([_low_rank(rng, 192, 150, 100, p), _low_rank(rng, 40, 150, 20, p)]), [64] * 3
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -242,11 +262,13 @@ def test_block_fed_echelon_matches_one_whole_matrix_echelon(p):
     field = PrimeField(p)
     for mat, sizes in _block_cases(_rng(21), p):
         n = mat.shape[1]
-        rows, piv = _echelon(_residues(mat, p), p, True)
-        got_rows, got_piv = _echelon_blocks(iter(_split(mat, sizes)), n, p)
-        assert got_rows.tobytes() == rows.tobytes() and got_piv.tobytes() == piv.tobytes()
-        unreduced = _echelon_blocks(iter(_split(mat, sizes)), n, p, False)[1]
-        assert unreduced.tobytes() == _echelon(_residues(mat, p), p, False)[1].tobytes()
+        piv, R = _echelon(_residues(mat, p), p, True)
+        got_piv, got_R = _echelon_blocks(iter(_split(mat, sizes)), n, p)
+        assert got_R.tobytes() == R.tobytes() and got_piv.tobytes() == piv.tobytes()
+        unreduced = _echelon_blocks(iter(_split(mat, sizes)), n, p, False)[0]
+        assert unreduced.tobytes() == _echelon(_residues(mat, p), p, False)[0].tobytes()
+        assert pivot_columns(mat, field).tobytes() == unreduced.tobytes()
+        assert rank(mat, field) == unreduced.size
         kernel = block_kernel(iter(_split(mat, sizes)), n, field)
         assert kernel.dtype == np.int64
         assert kernel.tobytes() == kernel_basis(mat, field).tobytes()
@@ -256,8 +278,8 @@ def test_block_fed_echelon_of_no_rows(fp, qq):
     # an empty iterator, or only zero-row blocks: rank 0, and the kernel is
     # the identity in both fields
     for blocks in ((), [np.zeros((0, 7), dtype=np.int64)] * 3):
-        rows, piv = _echelon_blocks(iter(blocks), 7, fp.p)
-        assert rows.shape == (0, 7) and piv.size == 0
+        piv, R = _echelon_blocks(iter(blocks), 7, fp.p)
+        assert R.shape == (0, 7) and piv.size == 0
         for field in (fp, qq):
             kernel = block_kernel(iter(blocks), 7, field)
             assert np.array_equal(kernel, linalg._identity(7, field))
@@ -297,7 +319,7 @@ def test_blocks_are_not_pulled_once_the_rank_is_n(fp, monkeypatch):
                     pulled.append(k)
                     yield rng.integers(0, fp.p, (size, n))
 
-            rows, piv = _echelon_blocks(blocks(), n, fp.p)
+            piv = _echelon_blocks(blocks(), n, fp.p)[0]
             assert piv.tolist() == list(range(n)), (n, size)
             assert pulled == [0, 1, 2] and seen == residues, (n, size)
 
@@ -313,8 +335,9 @@ def test_block_fed_kernel_checks_the_cap_before_the_first_block(fp, monkeypatch)
 
 
 def test_transient_memory_stays_below_the_input(fp):
-    # whatever the row count, an elimination holds O(max(n, 96) * n) floats
-    # besides its input; a whole-matrix float64 copy alone is the input's size
+    # whatever the row count, an elimination of rank r holds
+    # O(96 * n + r * (n - r)) floats besides its input; a whole-matrix
+    # float64 copy alone is the input's size
     mat = _low_rank(_rng(20), 3000, 200, 150, fp.p)
     for entry in (rank, rref, kernel_basis):
         tracemalloc.start()
@@ -326,10 +349,27 @@ def test_transient_memory_stays_below_the_input(fp):
         assert peak < mat.nbytes, (entry.__name__, peak)
 
 
+def test_transient_memory_of_the_primal_shape_is_a_few_mib(fp):
+    # the 735 x 540 primal system of rank 455, fed in its 35-row blocks:
+    # besides the blocks the driver holds a 96-row panel and the form (piv, R)
+    # of at most 270 * 270 floats, never a full-width echelon (7.5 MiB
+    # traced with one; 3.3 MiB measured without)
+    mat = _low_rank(_rng(25), 735, 540, 455, fp.p)
+    blocks = _split(mat, [35] * 20)
+    tracemalloc.start()
+    try:
+        kernel = block_kernel(iter(blocks), 540, fp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.shape == (85, 540)
+    assert peak < 5 * 2**20, peak
+
+
 def test_transient_memory_of_a_wide_matrix_follows_its_rows(fp):
-    # a matrix fed as one block sizes the panel by its rows: 10 x 5000 must
-    # not reserve a panel of max(n, 96) = 5000 rows, which is 200 MB. The
-    # pivot loop's row copies are a few times the input (5.2x measured)
+    # a panel holds only the rows that arrived: 10 x 5000 must not reserve
+    # a panel of 96 rows, which is 3.8 MB. The pivot loop's row copies are a
+    # few times the input (5.2x measured)
     mat = _rng(24).integers(0, fp.p, (10, 5000))
     for entry in (rank, rref, pivot_columns):
         tracemalloc.start()

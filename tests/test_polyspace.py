@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -98,6 +99,21 @@ def test_poly_mul_identity_and_quadric(fp):
     prod = poly_mul(f, x1)
     assert _coeff(prod, (2, 0, 0, 1)) == 1
     assert _coeff(prod, (1, 1, 1, 0)) == fp.neg(1)
+
+
+def test_poly_from_terms_names_a_monomial_outside_its_basis(fp):
+    # a cube among squares, a monomial in three of four variables, and a
+    # monomial of the wrong bidegree: each is named with its degree
+    for grading, degree, mono in (
+        (TOTAL4, 2, (3, 0, 0, 0)),
+        (TOTAL4, 2, (2, 0, 0)),
+        (BIGRADED, (1, 1), (2, 0, 0, 0)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{mono} is not a monomial of degree {degree}")):
+            poly_from_terms(grading, degree, {mono: 1}, fp)
+    # the monomials in the basis still add up, repeats included
+    f = poly_from_terms(TOTAL4, 2, [((2, 0, 0, 0), 1), ((2, 0, 0, 0), 2)], fp)
+    assert _coeff(f, (2, 0, 0, 0)) == 3
 
 
 def test_poly_mul_grading_mismatch(fp):
